@@ -1,5 +1,5 @@
 """Evaluation surface: scripted baselines, checkpoint-backed policies, and
-the noise-free episode runner that produces metric reports and trajectory
+noise-free evaluation that produces metric reports and trajectory
 exports."""
 
 from __future__ import annotations
@@ -9,13 +9,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .env import observe, step, write_poi_csv, write_trajectory_csv
+from .env import write_poi_csv, write_trajectory_csv
 from .errors import ConfigError
-from .hetgraph import local_feature_batch, local_neighbors, local_template
-from .metrics import compute_all
-from .neural import forward
-from .rollout import EpisodeTracker
-from .training import load_actor_networks
+from .rollout import run_episode
+from .training import actor_actions, load_actor_networks
 from .world import CUAV, MUAV, WorldConfig, WorldState, generate_scenario
 
 POLICY_KINDS = ("greedy", "random", "hgam", "hgam_no_gat")
@@ -61,7 +58,7 @@ class GreedyPolicy:
     def reset(self, episode_seed: int) -> None:
         pass
 
-    def actions(self, state: WorldState, observations) -> list[np.ndarray]:
+    def actions(self, state: WorldState, obs, nbrs) -> list[np.ndarray]:
         return [greedy_policy(state, u) for u in range(len(state.uavs))]
 
 
@@ -74,7 +71,7 @@ class RandomPolicy:
     def reset(self, episode_seed: int) -> None:
         self._rng = np.random.default_rng(np.random.SeedSequence((episode_seed, 1)))
 
-    def actions(self, state: WorldState, observations) -> list[np.ndarray]:
+    def actions(self, state: WorldState, obs, nbrs) -> list[np.ndarray]:
         return [random_policy(self._rng) for _ in state.uavs]
 
 
@@ -87,7 +84,6 @@ class ActorPolicy:
         self.use_gat = use_gat
         self.actors = actors
         self.kinds = [MUAV] * config.num_muavs + [CUAV] * config.num_cuavs
-        self.templates = {k: local_template(config, k) for k in dict.fromkeys(self.kinds)}
 
     @classmethod
     def from_checkpoint(cls, checkpoint_path, config: WorldConfig,
@@ -97,26 +93,10 @@ class ActorPolicy:
     def reset(self, episode_seed: int) -> None:
         pass
 
-    def actions(self, state: WorldState, observations) -> list[np.ndarray]:
-        width = max(len(o) for o in observations)
-        obs_rows = np.zeros((1, len(observations), width))
-        for u, o in enumerate(observations):
-            obs_rows[0, u, : len(o)] = o
-        nbr_rows = np.full((1, len(observations), 2), -1, dtype=np.int64)
-        for u in range(len(observations)):
-            mn, cn = local_neighbors(state, u)
-            nbr_rows[0, u, 0] = -1 if mn is None else mn
-            nbr_rows[0, u, 1] = -1 if cn is None else cn
-        out = []
-        for u, uav in enumerate(state.uavs):
-            feats, mask = local_feature_batch(obs_rows, nbr_rows, u,
-                                              [x.kind for x in state.uavs],
-                                              self.config)
-            tpl = self.templates[uav.kind]
-            action = forward(self.actors[u], feats, tpl.kinds, 0, mask,
-                             self.use_gat).out[0]
-            out.append(np.clip(action, -1.0, 1.0))
-        return out
+    def actions(self, state: WorldState, obs, nbrs) -> np.ndarray:
+        out = actor_actions(self.actors, self.kinds, self.config, obs[None],
+                            nbrs[None], self.use_gat)[0]
+        return np.clip(out, -1.0, 1.0)
 
 
 def make_policy(kind: str, config: WorldConfig, checkpoint=None):
@@ -136,41 +116,6 @@ METRIC_KEYS = ("C", "omega", "upsilon", "D", "F", "C_times_omega", "D_times_F",
                "episode_len")
 
 
-def run_episode(policy, config: WorldConfig, episode_seed: int,
-                traj_rows: list | None = None):
-    """One noise-free episode; returns (metrics row, tracker)."""
-    state = generate_scenario(config, episode_seed)
-    policy.reset(episode_seed)
-    tracker = EpisodeTracker(state)
-    reward_sums = np.zeros(len(state.uavs))
-    while not state.done:
-        observations = [observe(state, u) for u in range(len(state.uavs))]
-        actions = policy.actions(state, observations)
-        _, events = step(state, actions)
-        breakdowns = tracker.after_step(state, events)
-        for u, bd in enumerate(breakdowns):
-            reward_sums[u] += bd.total
-        if traj_rows is not None:
-            for u, uav in enumerate(state.uavs):
-                m = state.num_muavs
-                collected = float(events.collected[u]) if u < m else 0.0
-                outcome = events.charge[u - m] if u >= m else None
-                charged_to = "" if outcome is None or outcome.target is None \
-                    else outcome.target
-                traj_rows.append([state.t, u, uav.kind,
-                                  float(uav.pos[0]), float(uav.pos[1]),
-                                  uav.er, uav.ec, uav.ed, collected,
-                                  charged_to, breakdowns[u].total])
-    row = dict(compute_all(tracker.episode_log(state)))
-    row["seed"] = episode_seed
-    m = state.num_muavs
-    row["reward_muav_mean"] = float(np.mean(reward_sums[:m])) if m else 0.0
-    row["reward_cuav_mean"] = (float(np.mean(reward_sums[m:]))
-                               if state.num_cuavs else 0.0)
-    row["reward_components"] = tracker.reward_components()
-    return row, state, tracker
-
-
 def evaluate(policy, world_config: WorldConfig, episodes: int, seed: int,
              out_dir=None, export_traj: bool = False) -> dict:
     """Noise-free evaluation over `episodes` episodes seeded seed+i; returns
@@ -184,15 +129,32 @@ def evaluate(policy, world_config: WorldConfig, episodes: int, seed: int,
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
     rows = []
+    traj_rows: list = []
+
+    def record(state, t, obs, nbrs, actions, rewards, events):
+        m = state.num_muavs
+        for u, uav in enumerate(state.uavs):
+            collected = float(events.collected[u]) if u < m else 0.0
+            outcome = events.charge[u - m] if u >= m else None
+            charged_to = "" if outcome is None or outcome.target is None \
+                else outcome.target
+            traj_rows.append([state.t, u, uav.kind,
+                              float(uav.pos[0]), float(uav.pos[1]),
+                              uav.er, uav.ec, uav.ed, collected,
+                              charged_to, rewards[u]])
+
     for i in range(episodes):
-        traj_rows = [] if export_traj else None
-        row, state, tracker = run_episode(policy, world_config, seed + i, traj_rows)
+        state = generate_scenario(world_config, seed + i)
+        policy.reset(seed + i)
+        traj_rows.clear()
+        row = run_episode(state, policy.actions, record if export_traj else None)
+        row["seed"] = seed + i
         rows.append(row)
         if export_traj and out is not None:
             write_trajectory_csv(out / f"trajectory_ep{i:04d}.csv", traj_rows)
             write_poi_csv(out / f"pois_ep{i:04d}.csv", state)
             components = {"episode_seed": seed + i,
-                          "per_agent": tracker.reward_components()}
+                          "per_agent": row["reward_components"]}
             with open(out / f"reward_components_ep{i:04d}.json", "w",
                       encoding="utf-8") as fh:
                 json.dump(components, fh, indent=2, sort_keys=True)

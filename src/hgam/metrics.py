@@ -21,9 +21,12 @@ def jain_index(values) -> float:
         raise ContractError("jain_index needs at least one value")
     if np.any(x < 0):
         raise ContractError("jain_index requires non-negative values")
-    total_sq = float(np.sum(x * x))
-    if total_sq == 0.0:
+    if x.max() == 0.0:
         return 1.0
+    # scale by a power of two (exact) so tiny values cannot underflow when
+    # squared; the index does not depend on scale
+    x = np.ldexp(x, -np.frexp(x.max())[1])
+    total_sq = float(np.sum(x * x))
     s = float(np.sum(x))
     return s * s / (x.size * total_sq)
 

@@ -120,10 +120,6 @@ def _lrelu(x, slope):
     return np.where(x > 0, x, slope * x)
 
 
-def _lrelu_grad(x, slope):
-    return np.where(x > 0, 1.0, slope)
-
-
 def _slope_mask(x, slope):
     """Pointwise LeakyReLU derivative; y = x * mask gives the activation and
     the same mask backpropagates it."""

@@ -106,9 +106,6 @@ class DilemmaWindow:
     def positions(self) -> list[np.ndarray]:
         return list(self._buf)
 
-    def clear(self) -> None:
-        self._buf.clear()
-
     def __len__(self) -> int:
         return len(self._buf)
 

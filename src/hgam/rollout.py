@@ -1,15 +1,67 @@
-"""Episode bookkeeping shared by training and evaluation: dilemma windows,
-per-step rewards, charging activity, and the final episode log."""
+"""The episode rollout shared by training and evaluation: the joint
+observation every actor acts on, the one episode loop, and its bookkeeping
+(dilemma windows, per-step rewards, charging activity, the episode log)."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .env import StepEvents
-from .metrics import EpisodeLog
+from .env import StepEvents, max_obs_len, observe, step
+from .hetgraph import local_neighbors
+from .metrics import EpisodeLog, compute_all
 from .reward import (DilemmaWindow, RewardBreakdown, cuav_reward,
                      detect_dilemma, muav_reward)
 from .world import WorldState
+
+
+def joint_observation(state: WorldState) -> tuple[np.ndarray, np.ndarray]:
+    """Every agent's observation padded to `max_obs_len` (U, W), and its
+    local-graph neighbors (U, 2): column 0 the nearest other MUAV, column 1
+    the nearest CUAV, -1 when absent."""
+    n = len(state.uavs)
+    obs = np.zeros((n, max_obs_len(state.config)))
+    nbrs = np.full((n, 2), -1, dtype=np.int64)
+    for u in range(n):
+        vec = observe(state, u)
+        obs[u, : len(vec)] = vec
+        muav_nbr, cuav_nbr = local_neighbors(state, u)
+        nbrs[u, 0] = -1 if muav_nbr is None else muav_nbr
+        nbrs[u, 1] = -1 if cuav_nbr is None else cuav_nbr
+    return obs, nbrs
+
+
+def run_episode(state: WorldState, act, on_step=None) -> dict:
+    """Step `state` until it is done; returns the metrics row: `compute_all`
+    of the episode, `reward_muav_mean`, `reward_cuav_mean` (mean summed
+    reward per agent type) and `reward_components`.
+
+    `act(state, obs, nbrs)` gives the (U, 2) joint action for the joint
+    observation of `state`. After each step, `on_step(state, t, obs, nbrs,
+    actions, rewards, events)` sees the advanced state, the index `t` of the
+    step taken, its inputs and the per-agent rewards (U,). It may return the
+    advanced state's joint observation for the next action to reuse;
+    otherwise the loop observes it, and never once the episode is done.
+    """
+    tracker = EpisodeTracker(state)
+    reward_sums = np.zeros(len(state.uavs))
+    joint = None
+    while not state.done:
+        if joint is None:
+            joint = joint_observation(state)
+        obs, nbrs = joint
+        actions = act(state, obs, nbrs)
+        t = state.t
+        _, events = step(state, actions)
+        rewards = np.array([bd.total for bd in tracker.after_step(state, events)])
+        reward_sums += rewards
+        joint = None if on_step is None else on_step(
+            state, t, obs, nbrs, actions, rewards, events)
+    row = dict(compute_all(tracker.episode_log(state)))
+    m = state.num_muavs
+    row["reward_muav_mean"] = float(np.mean(reward_sums[:m]))
+    row["reward_cuav_mean"] = float(np.mean(reward_sums[m:]))
+    row["reward_components"] = tracker.reward_components()
+    return row
 
 
 class EpisodeTracker:

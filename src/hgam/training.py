@@ -10,16 +10,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .env import max_obs_len, observe, step
+from .env import max_obs_len
 from .errors import CheckpointError, ConfigError, ContractError
 from .hetgraph import (CUAV, MUAV, global_action_slice, global_feature_batch,
                        global_feature_width, local_feature_batch,
-                       local_feature_width, local_neighbors, local_template)
-from .metrics import compute_all
+                       local_feature_width, local_template)
 from .neural import (LINEAR, TANH, NetSpec, Network, adam_step, backward,
                      forward, network_from_tensors, network_tensors,
                      save_checkpoint)
-from .rollout import EpisodeTracker
+from .rollout import joint_observation, run_episode
 from .world import WorldConfig, _config_from_mapping, _load_flat_mapping, \
     generate_scenario
 
@@ -138,10 +137,6 @@ class SumTree:
         return idx, self.sums[node] / total
 
 
-def per_sample(tree: SumTree, k: int, rng: np.random.Generator):
-    return tree.sample(k, rng)
-
-
 def per_update(tree: SumTree, index: int, new_delta: float, alpha: float,
                epsilon_p: float = PRIORITY_EPS) -> None:
     tree.set(index, (abs(new_delta) + epsilon_p) ** alpha)
@@ -252,6 +247,19 @@ def critic_spec(config: WorldConfig) -> NetSpec:
     return NetSpec({k: global_feature_width(config) for k in kinds}, 1, LINEAR)
 
 
+def actor_actions(actors, kinds, config: WorldConfig, obs: np.ndarray,
+                  nbrs: np.ndarray, use_gat: bool = True) -> np.ndarray:
+    """Decentralized execution: agent u's actor `actors[u]` on its own local
+    graph, built from padded observations (B, U, W) and neighbor rows
+    (B, U, 2). Returns the unclipped actions (B, U, 2)."""
+    out = np.empty((obs.shape[0], len(kinds), 2))
+    for u, kind in enumerate(kinds):
+        feats, mask = local_feature_batch(obs, nbrs, u, kinds, config)
+        out[:, u] = forward(actors[u], feats, local_template(config, kind).kinds,
+                            0, mask, use_gat).out
+    return out
+
+
 def critic_target_values(critic_target: Network, next_feats: np.ndarray,
                          kinds, ego: int, lam: np.ndarray, count: np.ndarray,
                          terminal: np.ndarray, gamma: float,
@@ -342,42 +350,18 @@ class Trainer:
                       for _ in range(self.num_agents)]
         self.sigma = train_config.noise_sigma0
         self.action_slice = global_action_slice(world_config)
-        self.templates = {kind: local_template(world_config, kind)
-                          for kind in dict.fromkeys(self.kinds)}
 
     # -- acting ------------------------------------------------------------
 
-    def policy_actions(self, obs_rows: np.ndarray, nbr_rows: np.ndarray,
-                       explore: bool) -> np.ndarray:
-        """Greedy actor actions for one timestep (B=1 path through the same
-        batched features used in updates)."""
-        actions = np.zeros((self.num_agents, 2))
-        obs_b = obs_rows[None, :, :]
-        nbr_b = nbr_rows[None, :, :]
+    def policy_actions(self, obs_rows: np.ndarray, nbr_rows: np.ndarray) -> np.ndarray:
+        """Exploring actions for one timestep: the actors' batch-1 output for
+        the joint observation (U, W) and neighbor rows (U, 2), plus
+        Gaussian noise, clipped to [-1, 1]."""
+        actions = actor_actions(self.actors, self.kinds, self.wc, obs_rows[None],
+                                nbr_rows[None], self.tc.use_gat)[0]
         for u in range(self.num_agents):
-            feats, mask = local_feature_batch(obs_b, nbr_b, u, self.kinds, self.wc)
-            tpl = self.templates[self.kinds[u]]
-            out = forward(self.actors[u], feats, tpl.kinds, 0, mask,
-                          self.tc.use_gat).out[0]
-            if explore:
-                out = out + exploration_noise(self.noise_rng, self.sigma)
-            actions[u] = np.clip(out, -1.0, 1.0)
-        return actions
-
-    def _padded_obs(self, state) -> np.ndarray:
-        rows = np.zeros((self.num_agents, self.obs_width))
-        for u in range(self.num_agents):
-            vec = observe(state, u)
-            rows[u, : len(vec)] = vec
-        return rows
-
-    def _nbr_rows(self, state) -> np.ndarray:
-        rows = np.full((self.num_agents, 2), -1, dtype=np.int64)
-        for u in range(self.num_agents):
-            muav_nbr, cuav_nbr = local_neighbors(state, u)
-            rows[u, 0] = -1 if muav_nbr is None else muav_nbr
-            rows[u, 1] = -1 if cuav_nbr is None else cuav_nbr
-        return rows
+            actions[u] += exploration_noise(self.noise_rng, self.sigma)
+        return np.clip(actions, -1.0, 1.0)
 
     # -- learning ----------------------------------------------------------
 
@@ -399,14 +383,8 @@ class Trainer:
         oks, js, count, boot, terminal = self.store.chain(idxs, tc.n_step)
 
         next_obs = self.store.next_obs[boot]
-        next_nbrs = self.store.next_nbrs[boot]
-        a_prime = np.zeros((b, self.num_agents, 2))
-        for v in range(self.num_agents):
-            feats, mask = local_feature_batch(next_obs, next_nbrs, v,
-                                              self.kinds, self.wc)
-            tpl = self.templates[self.kinds[v]]
-            a_prime[:, v] = forward(self.actor_targets[v], feats, tpl.kinds, 0,
-                                    mask, tc.use_gat).out
+        a_prime = actor_actions(self.actor_targets, self.kinds, self.wc, next_obs,
+                                self.store.next_nbrs[boot], tc.use_gat)
         next_gfeats = global_feature_batch(next_obs, a_prime, self.kinds, self.wc)
 
         cur_obs = self.store.obs[idxs]
@@ -433,9 +411,9 @@ class Trainer:
 
             afeats, amask = local_feature_batch(cur_obs, cur_nbrs, u,
                                                 self.kinds, self.wc)
-            tpl = self.templates[kind]
-            actor_update(self.actors[u], self.critics[kind], afeats, tpl.kinds,
-                         amask, cur_gfeats, self.kinds, u, self.action_slice,
+            actor_update(self.actors[u], self.critics[kind], afeats,
+                         local_template(self.wc, kind).kinds, amask,
+                         cur_gfeats, self.kinds, u, self.action_slice,
                          tc.lr_actor, tc.use_gat)
 
         if episode % tc.f_soft == 0:
@@ -461,47 +439,32 @@ class Trainer:
         return int(np.random.SeedSequence((self.seed, episode)).generate_state(1)[0])
 
     def run_episode(self, episode: int) -> dict:
-        state = generate_scenario(self.wc, self.scenario_seed(episode))
-        tracker = EpisodeTracker(state)
-        reward_sums = np.zeros(self.num_agents)
         losses = []
-        obs_rows = self._padded_obs(state)
-        nbr_rows = self._nbr_rows(state)
-        while not state.done:
-            actions = self.policy_actions(obs_rows, nbr_rows, explore=True)
-            t_before = state.t
-            _, events = step(state, list(actions))
-            breakdowns = tracker.after_step(state, events)
-            rewards = np.array([bd.total for bd in breakdowns])
-            next_obs_rows = self._padded_obs(state)
-            next_nbr_rows = self._nbr_rows(state)
+
+        def learn(state, t, obs, nbrs, actions, rewards, events):
+            # the transition stores the successor, terminal or not, which
+            # the next action then reuses
+            next_obs, next_nbrs = joint_observation(state)
             slot = self.store.add(Transition(
-                obs=obs_rows, actions=actions, rewards=rewards,
-                next_obs=next_obs_rows, done=state.done, episode=episode,
-                step=t_before, nbrs=nbr_rows, next_nbrs=next_nbr_rows))
+                obs=obs, actions=actions, rewards=rewards, next_obs=next_obs,
+                done=state.done, episode=episode, step=t, nbrs=nbrs,
+                next_nbrs=next_nbrs))
             for tree in self.trees:
                 tree.set(slot, self.insert_priority(tree))
-            loss = self.update(episode, t_before)
+            loss = self.update(episode, t)
             if loss is not None:
                 losses.append(loss)
-            reward_sums += rewards
-            obs_rows, nbr_rows = next_obs_rows, next_nbr_rows
+            return next_obs, next_nbrs
 
-        m = self.wc.num_muavs
-        report = compute_all(tracker.episode_log(state))
-        row = {
-            "episode": episode,
-            "steps": state.t,
-            "reward_muav_mean": float(np.mean(reward_sums[:m])) if m else 0.0,
-            "reward_cuav_mean": float(np.mean(reward_sums[m:])) if self.wc.num_cuavs else 0.0,
-            "C": report["C"],
-            "omega": report["omega"],
-            "upsilon": report["upsilon"],
-            "D": report["D"],
-            "F": report["F"],
-            "sigma": self.sigma,
-            "loss_critic_mean": float(np.mean(losses)) if losses else 0.0,
-        }
+        state = generate_scenario(self.wc, self.scenario_seed(episode))
+        report = run_episode(
+            state, lambda _, obs, nbrs: self.policy_actions(obs, nbrs), learn)
+        row = {"episode": episode, "steps": state.t}
+        for key in ("reward_muav_mean", "reward_cuav_mean", "C", "omega",
+                    "upsilon", "D", "F"):
+            row[key] = report[key]
+        row["sigma"] = self.sigma
+        row["loss_critic_mean"] = float(np.mean(losses)) if losses else 0.0
         self.sigma = max(self.tc.noise_min, self.sigma * self.tc.noise_decay)
         return row
 

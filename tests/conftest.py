@@ -28,6 +28,34 @@ def build_state(config: WorldConfig, uav_pos, poi_pos=(), poi_m0=(),
     )
 
 
+def branch_signature(tape):
+    """Which side of every LeakyReLU kink (encoder, attention logit, head)
+    a forward tape took."""
+    return (tape.s1 > 0.5, tape.s2 > 0.5, tape.s3 > 0.5,
+            None if tape.se is None else tape.se > 0.5)
+
+
+def _same_branches(a, b):
+    return all((x is None and y is None) or np.array_equal(x, y)
+               for x, y in zip(a, b))
+
+
+def kink_free_fd(loss, arr, i, h=1e-5):
+    """Central difference of `loss() -> (value, branch_signature)` in
+    arr.flat[i]; returns None when the perturbation crosses a LeakyReLU kink
+    (the two evaluations activate different branches), since the difference
+    quotient is meaningless there."""
+    old = arr.flat[i]
+    arr.flat[i] = old + h
+    up, sig_up = loss()
+    arr.flat[i] = old - h
+    down, sig_down = loss()
+    arr.flat[i] = old
+    if not _same_branches(sig_up, sig_down):
+        return None
+    return (up - down) / (2.0 * h)
+
+
 @pytest.fixture
 def mini_config():
     """The miniature world used by the learning and baseline checks."""

@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from conftest import build_state
+from conftest import branch_signature, build_state, kink_free_fd
 from hgam.cli import main as cli_main
 from hgam.env import observe, step
 from hgam.harness import ActorPolicy, GreedyPolicy, RandomPolicy, evaluate, \
@@ -63,31 +63,6 @@ def _rel_err(analytic: float, fd: float) -> float:
     return diff / max(abs(analytic), abs(fd))
 
 
-def _branch_signature(tape):
-    return (tape.s1 > 0.5, tape.s2 > 0.5, tape.s3 > 0.5,
-            None if tape.se is None else tape.se > 0.5)
-
-
-def _same_branches(a, b):
-    return all((x is None and y is None) or np.array_equal(x, y)
-               for x, y in zip(a, b))
-
-
-def _fd(loss, arr, i, h=1e-5):
-    """Central difference; returns None when the perturbation crosses a
-    LeakyReLU kink (the two evaluations activate different branches), since
-    the difference quotient is meaningless there."""
-    old = arr.flat[i]
-    arr.flat[i] = old + h
-    up, sig_up = loss()
-    arr.flat[i] = old - h
-    down, sig_down = loss()
-    arr.flat[i] = old
-    if not _same_branches(sig_up, sig_down):
-        return None
-    return (up - down) / (2.0 * h)
-
-
 @run_reporting("1 gradient-correctness")
 def test_criterion_1_gradients():
     t0 = time.time()
@@ -108,7 +83,7 @@ def test_criterion_1_gradients():
             g = grads.get(name)
             for _ in range(coords):
                 i = int(rng.integers(arr.size))
-                fd = _fd(loss, arr, i)
+                fd = kink_free_fd(loss, arr, i)
                 if fd is None:
                     skipped += 1
                     continue
@@ -127,7 +102,7 @@ def test_criterion_1_gradients():
 
             def loss():
                 tape = forward(net, feats, kinds, 0)
-                return float(np.sum(tape.out * w)), _branch_signature(tape)
+                return float(np.sum(tape.out * w)), branch_signature(tape)
 
             tape = forward(net, feats, kinds, 0)
             grads, _ = backward(net, tape, w)
@@ -144,7 +119,7 @@ def test_criterion_1_gradients():
         def loss():
             tape = forward(net, feats, kinds, 0)
             q = tape.out[:, 0]
-            return float(np.mean(zeta * (y - q) ** 2)), _branch_signature(tape)
+            return float(np.mean(zeta * (y - q) ** 2)), branch_signature(tape)
 
         tape = forward(net, feats, kinds, 0)
         q = tape.out[:, 0]

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from conftest import build_state
+from hgam import rollout
 from hgam.cli import main
+from hgam.env import step
 from hgam.errors import ConfigError
-from hgam.harness import (GreedyPolicy, RandomPolicy, evaluate, greedy_policy,
-                          make_policy, random_policy)
-from hgam.training import TrainConfig, train
-from hgam.world import WorldConfig
+from hgam.harness import (ActorPolicy, GreedyPolicy, RandomPolicy, evaluate,
+                          greedy_policy, make_policy, random_policy)
+from hgam.rollout import joint_observation
+from hgam.training import TrainConfig, Trainer, train
+from hgam.world import WorldConfig, generate_scenario
 
 
 def test_greedy_muav_heads_to_nearest_poi():
@@ -118,6 +121,43 @@ def test_trajectory_export(tmp_path, mini_config):
     comp = json.loads((tmp_path / "reward_components_ep0000.json").read_text())
     assert len(comp["per_agent"]) == 2
     assert set(comp["per_agent"][0]) == {"h", "iota", "pl", "pb", "total"}
+
+
+# --- the shared rollout path ----------------------------------------------------
+
+@pytest.mark.parametrize("use_gat", [True, False])
+def test_noise_free_trainer_actions_match_actor_policy(use_gat):
+    wc = WorldConfig()
+    assert wc.num_muavs == 2
+    trainer = Trainer(wc, TrainConfig(use_gat=use_gat, buffer_capacity=64), seed=4)
+    trainer.sigma = 0.0
+    policy = ActorPolicy(trainer.actors, wc, use_gat)
+    compared = 0
+    for scenario in range(4):
+        state = generate_scenario(wc, scenario)
+        while not state.done and state.t < 5:
+            obs, nbrs = joint_observation(state)
+            actions = policy.actions(state, obs, nbrs)
+            assert np.array_equal(trainer.policy_actions(obs, nbrs), actions)
+            compared += 1
+            step(state, actions)
+    assert compared >= 8
+
+
+@pytest.mark.parametrize("export_traj", [False, True])
+def test_evaluation_observes_only_states_it_acts_on(monkeypatch, tmp_path,
+                                                   export_traj):
+    wc = WorldConfig()
+    policy = ActorPolicy(Trainer(wc, TrainConfig(buffer_capacity=64), seed=0).actors, wc)
+    calls = []
+    real = rollout.observe
+    monkeypatch.setattr(rollout, "observe",
+                        lambda state, u: calls.append(u) or real(state, u))
+    report = evaluate(policy, wc, 4, seed=0, out_dir=tmp_path,
+                      export_traj=export_traj)
+    steps = sum(row["episode_len"] for row in report["per_episode"])
+    assert steps > 4
+    assert len(calls) == steps * wc.num_uavs
 
 
 # --- CLI ---------------------------------------------------------------------

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hgam.errors import ContractError, UndefinedMetricError
@@ -54,6 +54,7 @@ def test_jain_rejects_negative_and_empty():
 @settings(max_examples=200)
 @given(st.lists(st.floats(0.0, 1e6), min_size=1, max_size=30),
        st.floats(1e-3, 1e3))
+@example([3.41e-159, 3.41e-159], 0.5)  # squares underflow to subnormals
 def test_jain_scale_invariant_and_bounded(xs, scale):
     x = np.asarray(xs)
     j = jain_index(x)

@@ -1,8 +1,10 @@
 import math
+import zlib
 
 import numpy as np
 import pytest
 
+from conftest import branch_signature, kink_free_fd
 from hgam.errors import CheckpointError
 from hgam.hetgraph import HeteroGraph
 from hgam.neural import (LINEAR, TANH, NetSpec, Network,
@@ -199,16 +201,6 @@ def rel_err(a, f):
     return 0.0 if d < 1e-8 else d / max(abs(a), abs(f))
 
 
-def fd(fun, arr, i, h=1e-5):
-    old = arr.flat[i]
-    arr.flat[i] = old + h
-    up = fun()
-    arr.flat[i] = old - h
-    down = fun()
-    arr.flat[i] = old
-    return (up - down) / (2.0 * h)
-
-
 def test_backward_single_linear_unit():
     # L = (w x)^2 with x = 1, w = 2 -> dL/dw = 2 w x^2 = 4
     spec = NetSpec({MUAV: 1}, 1, LINEAR, embed_dim=1, head_hidden=1)
@@ -241,15 +233,28 @@ def test_backward_tanh_unit_slope_at_zero():
     ((MUAV,), 0, SMALL_CRITIC),
 ])
 def test_backward_matches_finite_differences(kinds, ego, out_spec):
-    rng = np.random.default_rng(hash(kinds) % 2**32)
+    # hash() of strings changes with PYTHONHASHSEED; crc32 is stable
+    rng = np.random.default_rng(zlib.crc32(repr((kinds, ego)).encode()))
     worst = 0.0
+    measured = skipped = 0
+
+    def check(analytic, arr, i):
+        nonlocal worst, measured, skipped
+        num = kink_free_fd(loss, arr, i)
+        if num is None:
+            skipped += 1
+            return
+        worst = max(worst, rel_err(analytic, num))
+        measured += 1
+
     for _ in range(5):
         net = Network(out_spec, rng)
         feats = rng.normal(0, 1, (3, len(kinds), out_spec.in_widths[kinds[0]]))
         w = rng.normal(0, 1, (3, out_spec.out_dim))
 
         def loss():
-            return float(np.sum(forward(net, feats, kinds, ego).out * w))
+            tape = forward(net, feats, kinds, ego)
+            return float(np.sum(tape.out * w)), branch_signature(tape)
 
         tape = forward(net, feats, kinds, ego)
         grads, dfeats = backward(net, tape, w)
@@ -257,12 +262,13 @@ def test_backward_matches_finite_differences(kinds, ego, out_spec):
             g = grads.get(name)
             for _ in range(3):
                 i = int(rng.integers(arr.size))
-                an = 0.0 if g is None else float(g.flat[i])
-                worst = max(worst, rel_err(an, fd(loss, arr, i)))
+                check(0.0 if g is None else float(g.flat[i]), arr, i)
         for _ in range(5):
             i = int(rng.integers(feats.size))
-            worst = max(worst, rel_err(float(dfeats.flat[i]), fd(loss, feats, i)))
+            check(float(dfeats.flat[i]), feats, i)
     assert worst < 1e-4
+    # kinks are rare: at least 90% of the drawn coordinates are measured
+    assert measured >= 0.9 * (measured + skipped)
 
 
 # --- adam -------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hgam import rollout
 from hgam.errors import CheckpointError, ConfigError, ContractError
 from hgam.hetgraph import global_feature_width
 from hgam.neural import LINEAR, NetSpec, Network, forward
@@ -475,6 +477,44 @@ def test_target_sync_gated_by_f_soft():
     assert np.array_equal(tgt0, trainer.actor_targets[0].flat)  # episodes 2,3 train but no sync
     trainer.run_episode(4)
     assert not np.array_equal(tgt0, trainer.actor_targets[0].flat)
+
+
+def test_target_sync_runs_on_every_update_step_of_f_soft_episodes(monkeypatch):
+    wc, tc = quick_configs(f_soft=2, e_min=1)
+    trainer = Trainer(wc, tc, seed=0)
+    updates, syncs = Counter(), Counter()
+    current = []
+    real_update, real_sync = trainer.update, trainer.sync_targets
+
+    def update(episode, step_index):
+        current[:] = [episode]
+        loss = real_update(episode, step_index)
+        updates[episode] += loss is not None
+        return loss
+
+    def sync():
+        syncs[current[0]] += 1
+        real_sync()
+
+    monkeypatch.setattr(trainer, "update", update)
+    monkeypatch.setattr(trainer, "sync_targets", sync)
+    for e in range(1, 6):
+        steps = trainer.run_episode(e)["steps"]
+        assert updates[e] == (0 if e <= tc.e_min else steps)
+        assert syncs[e] == (updates[e] if e % tc.f_soft == 0 else 0)
+    assert sum(syncs.values()) > 0
+
+
+def test_training_episode_observes_every_state_once(monkeypatch):
+    wc, tc = quick_configs()
+    trainer = Trainer(wc, tc, seed=0)
+    calls = []
+    real = rollout.observe
+    monkeypatch.setattr(rollout, "observe",
+                        lambda state, u: calls.append(u) or real(state, u))
+    row = trainer.run_episode(1)
+    # the terminal state too: the last transition stores it as next_obs
+    assert len(calls) == (row["steps"] + 1) * trainer.num_agents
 
 
 def test_train_writes_report_and_checkpoints(tmp_path):
