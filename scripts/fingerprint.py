@@ -8,12 +8,15 @@ after it:
     python scripts/fingerprint.py > after.txt     # on the new commit
     diff before.txt after.txt
 
-The runs (about 15 s in total, single-threaded BLAS):
+The runs (about 8 s in total, single-threaded BLAS):
 
 - `train` on the mini world, seed 3, 54 episodes (4 with learner updates);
 - `train` on the default world, seed 3, 52 episodes (2 with updates);
 - `evaluate` on the mini-world checkpoint with the `hgam` policy, 5 episodes;
 - `export-traj` on the same checkpoint with `hgam_no_gat`, 2 episodes;
+- `evaluate` (5 episodes) and `export-traj` (2 episodes) on the
+  default-world checkpoint with `hgam`, whose observations carry the
+  two-MUAV and CUAV blocks the mini world lacks;
 - `evaluate` with `greedy` and with `random` on the default world,
   3 episodes each.
 
@@ -36,8 +39,9 @@ MINI = str(ROOT / "configs" / "mini_world.yaml")
 
 def runs(out: Path):
     """(name, hgam CLI arguments) in run order; later runs read the
-    checkpoint the first one writes."""
+    checkpoints the training runs write."""
     ckpt = str(out / "train_mini" / "checkpoint.hgam")
+    ckpt_default = str(out / "train_default" / "checkpoint.hgam")
     return [
         ("train_mini", ["train", "--config", MINI, "--seed", "3",
                         "--episodes", "54"]),
@@ -47,6 +51,10 @@ def runs(out: Path):
         ("traj_mini_hgam_no_gat", ["export-traj", "--config", MINI,
                                    "--policy", "hgam_no_gat",
                                    "--checkpoint", ckpt, "--episodes", "2"]),
+        ("eval_default_hgam", ["evaluate", "--policy", "hgam",
+                               "--checkpoint", ckpt_default, "--episodes", "5"]),
+        ("traj_default_hgam", ["export-traj", "--policy", "hgam",
+                               "--checkpoint", ckpt_default, "--episodes", "2"]),
         ("eval_default_greedy", ["evaluate", "--policy", "greedy",
                                  "--episodes", "3"]),
         ("eval_default_random", ["evaluate", "--policy", "random",

@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ContractError
-from .world import MUAV, WorldConfig, WorldState
+from .world import MUAV, WorldConfig, WorldState, norms
 
 CAUSE_COLLISION = "collision"
 CAUSE_ENERGY = "energy"
@@ -29,17 +29,20 @@ NUM_UAV_BLOCKS = 2   # nearest-other-UAV blocks in every observation
 NUM_POI_BLOCKS = 5   # nearest-PoI blocks in MUAV observations
 
 
-def clamp_action(a) -> np.ndarray:
-    return np.clip(np.asarray(a, dtype=float).reshape(2), -1.0, 1.0)
+def clamp_action(actions) -> np.ndarray:
+    """The joint action as a (U, 2) array clipped to [-1, 1]."""
+    a = np.asarray(actions, dtype=float)
+    return np.clip(a.reshape(len(a), 2), -1.0, 1.0)
 
 
 def apply_action(pos: np.ndarray, a: np.ndarray, step_length: float) -> np.ndarray:
-    """Move one full step_length along the action direction; zero action holds."""
+    """Move each row of `pos` one full step_length along the direction of the
+    same row of `a`; a zero action holds. Rows are (..., 2)."""
+    pos = np.asarray(pos, dtype=float)
     a = np.asarray(a, dtype=float)
-    norm = float(np.linalg.norm(a))
-    if norm < 1e-9:
-        return np.asarray(pos, dtype=float).copy()
-    return np.asarray(pos, dtype=float) + (a / norm) * step_length
+    norm = norms(a)[..., None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(norm < 1e-9, pos, pos + (a / norm) * step_length)
 
 
 @dataclass
@@ -67,6 +70,9 @@ class StepEvents:
     discovered: list[np.ndarray]                   # per MUAV, new PoI indices
     terminated: bool
     cause: str | None
+    # sensing of the successor state, for its observations
+    lasers: np.ndarray                             # (U, K) cast_lasers
+    uav_dists: np.ndarray                          # (U, U) uav_distances
 
 
 @lru_cache(maxsize=8)
@@ -75,38 +81,40 @@ def _beam_dirs(num_lasers: int) -> np.ndarray:
     return np.stack([np.cos(angles), np.sin(angles)], axis=1)
 
 
-def cast_lasers(state: WorldState, u: int) -> np.ndarray:
-    """Distances from the UAV center to the nearest obstacle surface or wall
-    along each beam, capped at the field-of-view range."""
+def cast_lasers(state: WorldState) -> np.ndarray:
+    """(U, K) distances from each UAV center to the nearest obstacle surface
+    or wall along each beam, capped at the field-of-view range."""
     cfg = state.config
-    pos = state.uavs[u].pos
-    dirs = _beam_dirs(cfg.num_lasers)
-    cap = cfg.fov
-    readings = np.full(cfg.num_lasers, cap)
-
-    # Walls of the [0,W]x[0,H] arena: smallest positive ray parameter.
+    pos = state.positions()[:, None, :]                            # (U,1,2)
+    dirs = _beam_dirs(cfg.num_lasers)                              # (K,2)
     with np.errstate(divide="ignore", invalid="ignore"):
-        tx = np.where(dirs[:, 0] > 0, (cfg.area_width - pos[0]) / dirs[:, 0],
-                      np.where(dirs[:, 0] < 0, -pos[0] / dirs[:, 0], np.inf))
-        ty = np.where(dirs[:, 1] > 0, (cfg.area_height - pos[1]) / dirs[:, 1],
-                      np.where(dirs[:, 1] < 0, -pos[1] / dirs[:, 1], np.inf))
-    t_wall = np.minimum(np.where(tx > 0, tx, np.inf), np.where(ty > 0, ty, np.inf))
-    readings = np.minimum(readings, t_wall)
+        # Walls of the [0,W]x[0,H] arena: the ray parameter to the x- and
+        # y-wall each beam heads for. A beam parallel to a wall gives inf or
+        # nan there, which fails the positivity test like a wall behind.
+        walls = np.where(dirs > 0, (cfg.area_width, cfg.area_height), 0.0)
+        t = (walls - pos) / dirs                                   # (U,K,2)
+        readings = np.where(t > 0, t, np.inf).min(axis=2)
 
-    if len(state.obstacle_r) > 0:
-        rel = state.obstacle_xy - pos[None, :]                     # (B,2)
-        b = dirs @ rel.T                                           # (K,B)
-        c2 = np.sum(rel ** 2, axis=1)[None, :] - state.obstacle_r[None, :] ** 2
-        disc = b * b - c2
-        hit = disc >= 0.0
-        sq = np.sqrt(np.where(hit, disc, 0.0))
-        t_near = b - sq
-        t_far = b + sq
-        t_obs = np.where(hit & (t_near > 0), t_near,
-                         np.where(hit & (t_far > 0), t_far, np.inf))
-        readings = np.minimum(readings, t_obs.min(axis=1))
+        if len(state.obstacle_r) > 0:
+            rel = state.obstacle_xy - pos                          # (U,B,2)
+            b = np.matmul(dirs, rel.transpose(0, 2, 1))            # (U,K,B)
+            c2 = np.sum(rel ** 2, axis=2)[:, None, :] - state.obstacle_r ** 2
+            # a beam that misses has a negative discriminant: nan roots,
+            # which fail both positivity tests
+            sq = np.sqrt(b * b - c2)
+            t_near = b - sq
+            t_far = b + sq
+            t_obs = np.where(t_near > 0, t_near,
+                             np.where(t_far > 0, t_far, np.inf))
+            readings = np.minimum(readings, t_obs.min(axis=2))
 
-    return np.minimum(readings, cap)
+    return np.minimum(readings, cfg.fov)
+
+
+def uav_distances(state: WorldState) -> np.ndarray:
+    """(U, U) matrix whose [i, j] entry is |pos_j - pos_i|."""
+    pos = state.positions()
+    return norms(pos[None, :, :] - pos[:, None, :])
 
 
 def _collect_from_poi(state: WorldState, p: int, rate: float) -> float:
@@ -131,31 +139,31 @@ def step(state: WorldState, actions) -> tuple[WorldState, StepEvents]:
         raise ContractError(f"expected {n} actions, got {len(actions)}")
 
     # 1. motion
-    dist_moved = np.zeros(n)
+    pos = state.positions()
+    new_pos = apply_action(pos, clamp_action(actions), cfg.step_length)
+    velocity = new_pos - pos
+    dist_moved = norms(velocity)
     for i, uav in enumerate(state.uavs):
-        new_pos = apply_action(uav.pos, clamp_action(actions[i]), cfg.step_length)
-        uav.velocity = new_pos - uav.pos
-        dist_moved[i] = float(np.linalg.norm(uav.velocity))
-        uav.pos = new_pos
+        uav.velocity = velocity[i]
+        uav.pos = new_pos[i]
 
     # 2. collisions with obstacles or enclosure walls
-    collided = np.zeros(n, dtype=bool)
     r = cfg.uav_radius
-    for i, uav in enumerate(state.uavs):
-        x, y = uav.pos
-        if x < r or x > cfg.area_width - r or y < r or y > cfg.area_height - r:
-            collided[i] = True
-        elif len(state.obstacle_r) > 0:
-            d = np.linalg.norm(state.obstacle_xy - uav.pos, axis=1)
-            if np.any(d < state.obstacle_r + r):
-                collided[i] = True
-        if collided[i]:
-            uav.alive = False
+    x, y = new_pos[:, 0], new_pos[:, 1]
+    collided = (x < r) | (x > cfg.area_width - r) | (y < r) | (y > cfg.area_height - r)
+    if len(state.obstacle_r) > 0:
+        d = np.linalg.norm(state.obstacle_xy[None, :, :] - new_pos[:, None, :], axis=2)
+        collided |= np.any(d < state.obstacle_r + r, axis=1)
+    for i in np.nonzero(collided)[0]:
+        state.uavs[i].alive = False
     if collided.any():
         state.done = True
         state.done_reason = CAUSE_COLLISION
 
-    min_laser = np.array([float(cast_lasers(state, i).min()) for i in range(n)])
+    # positions are final from here on: sense the successor state once
+    lasers = cast_lasers(state)
+    uav_dists = uav_distances(state)
+    min_laser = lasers.min(axis=1)
 
     # 3. MUAV data collection, sequential in MUAV index order
     m_count = state.num_muavs
@@ -179,16 +187,15 @@ def step(state: WorldState, actions) -> tuple[WorldState, StepEvents]:
     charge: list[ChargeOutcome] = []
     e0 = cfg.charge_per_step
     for c in range(state.num_muavs, n):
-        cuav = state.uavs[c]
         muavs = state.muavs()
         ers = np.array([u.er for u in muavs]) if muavs else np.zeros(0)
         er_mean = float(ers.mean()) if len(ers) else 0.0
-        dists = np.array([float(np.linalg.norm(u.pos - cuav.pos)) for u in muavs])
-        candidates = np.nonzero(dists <= cfg.charge_radius)[0] if len(dists) else np.zeros(0, int)
+        dists = uav_dists[c, :m_count]
+        candidates = np.nonzero(dists <= cfg.charge_radius)[0]
         if len(candidates) == 0:
             charge.append(ChargeOutcome(None, 0.0, 0.0, 0.0, False, er_mean))
             continue
-        target = int(min(candidates, key=lambda i: (dists[i], i)))
+        target = int(candidates[np.argmin(dists[candidates])])
         tu = muavs[target]
         target_er = tu.er
         headroom = tu.ed - tu.ec          # == er0 - er, but exact by construction
@@ -228,6 +235,8 @@ def step(state: WorldState, actions) -> tuple[WorldState, StepEvents]:
         discovered=discovered,
         terminated=state.done,
         cause=state.done_reason,
+        lasers=lasers,
+        uav_dists=uav_dists,
     )
     return state, events
 
@@ -256,14 +265,13 @@ def max_obs_len(config: WorldConfig) -> int:
     return max(lens)
 
 
-def _nearest_uav_blocks(state: WorldState, u: int) -> list[float]:
+def _nearest_uav_blocks(state: WorldState, u: int, dist_row: list[float]) -> list[float]:
     """The two nearest other UAVs as (unit dx, unit dy, distance, type flag);
-    absent slots pad with distance = field-of-view range."""
+    absent slots pad with distance = field-of-view range. `dist_row` is row
+    u of `uav_distances`."""
     cfg = state.config
     me = state.uavs[u]
-    others = [(float(np.linalg.norm(o.pos - me.pos)), i)
-              for i, o in enumerate(state.uavs) if i != u]
-    others.sort()
+    others = sorted((d, i) for i, d in enumerate(dist_row) if i != u)
     out: list[float] = []
     for k in range(NUM_UAV_BLOCKS):
         if k < len(others):
@@ -290,12 +298,16 @@ def _self_block(state: WorldState, u: int) -> list[float]:
     ]
 
 
-def observe(state: WorldState, u: int) -> np.ndarray:
-    """Assemble the fixed-layout partial observation for UAV u."""
+def observe(state: WorldState, u: int, lasers: np.ndarray,
+            uav_dists: np.ndarray) -> np.ndarray:
+    """Assemble the fixed-layout partial observation for UAV u from the
+    state's fleet sensing: `lasers` from `cast_lasers` and `uav_dists` from
+    `uav_distances`."""
     cfg = state.config
     uav = state.uavs[u]
-    parts: list[float] = list(cast_lasers(state, u))
-    parts += _nearest_uav_blocks(state, u)
+    dist_row = uav_dists[u].tolist()
+    parts: list[float] = lasers[u].tolist()
+    parts += _nearest_uav_blocks(state, u, dist_row)
 
     if uav.kind == MUAV:
         dists = np.linalg.norm(state.poi_xy - uav.pos, axis=1)
@@ -315,7 +327,7 @@ def observe(state: WorldState, u: int) -> np.ndarray:
     else:
         for m in range(state.num_muavs):
             mu = state.uavs[m]
-            d = float(np.linalg.norm(mu.pos - uav.pos))
+            d = dist_row[m]
             if d > 0:
                 ux, uy = (mu.pos - uav.pos) / d
             else:

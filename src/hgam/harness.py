@@ -54,6 +54,7 @@ def random_policy(rng: np.random.Generator) -> np.ndarray:
 
 class GreedyPolicy:
     name = "greedy"
+    reads_obs = False   # acts on the state; the rollout skips observing
 
     def reset(self, episode_seed: int) -> None:
         pass
@@ -64,6 +65,7 @@ class GreedyPolicy:
 
 class RandomPolicy:
     name = "random"
+    reads_obs = False
 
     def __init__(self):
         self._rng = np.random.default_rng(0)
@@ -77,6 +79,8 @@ class RandomPolicy:
 
 class ActorPolicy:
     """Decentralized execution of trained actors on local graphs."""
+
+    reads_obs = True
 
     def __init__(self, actors, config: WorldConfig, use_gat: bool = True):
         self.name = "hgam" if use_gat else "hgam_no_gat"
@@ -147,7 +151,8 @@ def evaluate(policy, world_config: WorldConfig, episodes: int, seed: int,
         state = generate_scenario(world_config, seed + i)
         policy.reset(seed + i)
         traj_rows.clear()
-        row = run_episode(state, policy.actions, record if export_traj else None)
+        row = run_episode(state, policy.actions, record if export_traj else None,
+                          reads_obs=policy.reads_obs)
         row["seed"] = seed + i
         rows.append(row)
         if export_traj and out is not None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import max_obs_len
+from .env import max_obs_len, uav_distances
 from .world import CUAV, MUAV, WorldConfig, WorldState
 
 ACTION_WIDTH = 2
@@ -67,21 +67,22 @@ class HeteroGraph:
         return [src for src, dst in self.edges if dst == self.ego]
 
 
-def local_neighbors(state: WorldState, u: int) -> tuple[int | None, int | None]:
+def local_neighbors(state: WorldState, u: int,
+                    uav_dists: np.ndarray) -> tuple[int | None, int | None]:
     """Nearest other MUAV and nearest CUAV (fleet-wide via the global link,
-    optionally capped by comm_radius). Ties break to the lowest index."""
+    optionally capped by comm_radius). Ties break to the lowest index.
+    `uav_dists` is the state's `uav_distances` matrix."""
     cfg = state.config
-    me = state.uavs[u]
     best: dict[str, tuple[float, int]] = {}
-    for i, other in enumerate(state.uavs):
+    for i, d in enumerate(uav_dists[u].tolist()):
         if i == u:
             continue
-        d = float(np.linalg.norm(other.pos - me.pos))
         if cfg.comm_radius is not None and d > cfg.comm_radius:
             continue
-        cur = best.get(other.kind)
+        kind = state.uavs[i].kind
+        cur = best.get(kind)
         if cur is None or (d, i) < cur:
-            best[other.kind] = (d, i)
+            best[kind] = (d, i)
     muav_nbr = best.get(MUAV, (0.0, None))[1]
     cuav_nbr = best.get(CUAV, (0.0, None))[1]
     return muav_nbr, cuav_nbr
@@ -92,7 +93,7 @@ def build_local_graph(state: WorldState, u: int, observations) -> HeteroGraph:
     edge into the ego."""
     cfg = state.config
     ids = [u]
-    muav_nbr, cuav_nbr = local_neighbors(state, u)
+    muav_nbr, cuav_nbr = local_neighbors(state, u, uav_distances(state))
     for nbr in (muav_nbr, cuav_nbr):
         if nbr is not None:
             ids.append(nbr)

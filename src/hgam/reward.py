@@ -11,7 +11,7 @@ import numpy as np
 
 from .env import ChargeOutcome, StepEvents
 from .metrics import jain_index
-from .world import WorldConfig, WorldState, circle_overlap_area
+from .world import WorldConfig, WorldState, lens_area, norms
 
 # positions kept per MUAV for the circling test
 DILEMMA_WINDOW = 10
@@ -118,6 +118,6 @@ def detect_dilemma(window: DilemmaWindow, sense_radius: float) -> bool:
     pts = window.positions()
     if len(pts) < 3:
         return False
-    base = circle_overlap_area(pts[0], pts[1], sense_radius)
-    return any(circle_overlap_area(pts[0], p, sense_radius) > base
-               for p in pts[2:])
+    dists = norms(pts[0] - np.array(pts[1:])).tolist()
+    base = lens_area(dists[0], sense_radius)
+    return any(lens_area(d, sense_radius) > base for d in dists[1:])

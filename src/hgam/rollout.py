@@ -6,7 +6,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .env import StepEvents, max_obs_len, observe, step
+from .env import (StepEvents, cast_lasers, max_obs_len, observe, step,
+                  uav_distances)
 from .hetgraph import local_neighbors
 from .metrics import EpisodeLog, compute_all
 from .reward import (DilemmaWindow, RewardBreakdown, cuav_reward,
@@ -14,29 +15,39 @@ from .reward import (DilemmaWindow, RewardBreakdown, cuav_reward,
 from .world import WorldState
 
 
-def joint_observation(state: WorldState) -> tuple[np.ndarray, np.ndarray]:
+def joint_observation(state: WorldState, events: StepEvents | None = None
+                      ) -> tuple[np.ndarray, np.ndarray]:
     """Every agent's observation padded to `max_obs_len` (U, W), and its
     local-graph neighbors (U, 2): column 0 the nearest other MUAV, column 1
-    the nearest CUAV, -1 when absent."""
+    the nearest CUAV, -1 when absent.
+
+    `events` are those of the step that produced `state`; their sensing is
+    reused. Without them (an episode's first state) the state is sensed
+    here."""
+    if events is None:
+        lasers, uav_dists = cast_lasers(state), uav_distances(state)
+    else:
+        lasers, uav_dists = events.lasers, events.uav_dists
     n = len(state.uavs)
     obs = np.zeros((n, max_obs_len(state.config)))
     nbrs = np.full((n, 2), -1, dtype=np.int64)
     for u in range(n):
-        vec = observe(state, u)
+        vec = observe(state, u, lasers, uav_dists)
         obs[u, : len(vec)] = vec
-        muav_nbr, cuav_nbr = local_neighbors(state, u)
+        muav_nbr, cuav_nbr = local_neighbors(state, u, uav_dists)
         nbrs[u, 0] = -1 if muav_nbr is None else muav_nbr
         nbrs[u, 1] = -1 if cuav_nbr is None else cuav_nbr
     return obs, nbrs
 
 
-def run_episode(state: WorldState, act, on_step=None) -> dict:
+def run_episode(state: WorldState, act, on_step=None, reads_obs: bool = True) -> dict:
     """Step `state` until it is done; returns the metrics row: `compute_all`
     of the episode, `reward_muav_mean`, `reward_cuav_mean` (mean summed
     reward per agent type) and `reward_components`.
 
     `act(state, obs, nbrs)` gives the (U, 2) joint action for the joint
-    observation of `state`. After each step, `on_step(state, t, obs, nbrs,
+    observation of `state`; with `reads_obs` false, `act` ignores it and
+    gets None for both. After each step, `on_step(state, t, obs, nbrs,
     actions, rewards, events)` sees the advanced state, the index `t` of the
     step taken, its inputs and the per-agent rewards (U,). It may return the
     advanced state's joint observation for the next action to reuse;
@@ -44,10 +55,10 @@ def run_episode(state: WorldState, act, on_step=None) -> dict:
     """
     tracker = EpisodeTracker(state)
     reward_sums = np.zeros(len(state.uavs))
-    joint = None
+    joint = events = None
     while not state.done:
         if joint is None:
-            joint = joint_observation(state)
+            joint = joint_observation(state, events) if reads_obs else (None, None)
         obs, nbrs = joint
         actions = act(state, obs, nbrs)
         t = state.t

@@ -444,7 +444,7 @@ class Trainer:
         def learn(state, t, obs, nbrs, actions, rewards, events):
             # the transition stores the successor, terminal or not, which
             # the next action then reuses
-            next_obs, next_nbrs = joint_observation(state)
+            next_obs, next_nbrs = joint_observation(state, events)
             slot = self.store.add(Transition(
                 obs=obs, actions=actions, rewards=rewards, next_obs=next_obs,
                 done=state.done, episode=episode, step=t, nbrs=nbrs,

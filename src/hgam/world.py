@@ -158,6 +158,10 @@ class WorldState:
     def cuavs(self) -> list[UavState]:
         return self.uavs[self.num_muavs:]
 
+    def positions(self) -> np.ndarray:
+        """(U, 2) copy of the UAV positions."""
+        return np.array([u.pos for u in self.uavs], dtype=float).reshape(-1, 2)
+
     def copy(self) -> "WorldState":
         return WorldState(
             config=self.config,
@@ -226,12 +230,25 @@ def generate_scenario(config: WorldConfig, seed: int) -> WorldState:
     )
 
 
-def circle_overlap_area(c1: np.ndarray, c2: np.ndarray, r: float) -> float:
-    """Intersection area of two equal-radius disks (closed-form lens formula)."""
-    d = float(np.linalg.norm(np.asarray(c1, dtype=float) - np.asarray(c2, dtype=float)))
+def norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean lengths along the last axis, bit-equal to `np.linalg.norm`
+    of each vector on its own: both take the square root of a `dot`, while
+    `np.linalg.norm(v, axis=-1)` and `np.hypot` round differently."""
+    return np.sqrt(np.vecdot(v, v))
+
+
+def lens_area(d: float, r: float) -> float:
+    """Intersection area of two radius-r disks whose centers are d apart
+    (closed-form lens formula)."""
     if d >= 2.0 * r:
         return 0.0
     return 2.0 * r * r * math.acos(d / (2.0 * r)) - 0.5 * d * math.sqrt(4.0 * r * r - d * d)
+
+
+def circle_overlap_area(c1: np.ndarray, c2: np.ndarray, r: float) -> float:
+    """Intersection area of two equal-radius disks."""
+    d = float(np.linalg.norm(np.asarray(c1, dtype=float) - np.asarray(c2, dtype=float)))
+    return lens_area(d, r)
 
 
 def _load_flat_mapping(path) -> dict:

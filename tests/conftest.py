@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hgam.env import cast_lasers, observe, uav_distances
 from hgam.world import CUAV, MUAV, UavState, WorldConfig, WorldState
 
 
@@ -26,6 +27,12 @@ def build_state(config: WorldConfig, uav_pos, poi_pos=(), poi_m0=(),
         obstacle_r=obs[:, 2].copy(),
         seen_pois=[np.zeros(len(m0), dtype=bool) for _ in range(config.num_muavs)],
     )
+
+
+def observations(state: WorldState) -> list[np.ndarray]:
+    """Every agent's unpadded observation of `state` as it is now."""
+    lasers, dists = cast_lasers(state), uav_distances(state)
+    return [observe(state, u, lasers, dists) for u in range(len(state.uavs))]
 
 
 def branch_signature(tape):

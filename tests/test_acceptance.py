@@ -17,9 +17,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from conftest import branch_signature, build_state, kink_free_fd
+from conftest import branch_signature, build_state, kink_free_fd, observations
 from hgam.cli import main as cli_main
-from hgam.env import observe, step
+from hgam.env import step
 from hgam.harness import ActorPolicy, GreedyPolicy, RandomPolicy, evaluate, \
     greedy_policy
 from hgam.hetgraph import build_global_graph, build_local_graph
@@ -146,7 +146,7 @@ def test_criterion_2_attention():
     checked = 0
     for scenario in range(50):
         state = generate_scenario(wc, scenario)
-        obs = [observe(state, u) for u in range(3)]
+        obs = observations(state)
         actions = rng.uniform(-1, 1, (3, 2))
         if scenario % 10 == 0:
             a_net = Network(actor_spec(wc), rng)
@@ -167,7 +167,7 @@ def test_criterion_2_attention():
     # top up with random graphs until one thousand egos were checked
     while checked < 1000:
         state = generate_scenario(wc, 1000 + checked)
-        obs = [observe(state, u) for u in range(3)]
+        obs = observations(state)
         tape = forward_graph(a_net, build_local_graph(state, 0, obs))
         assert np.all(tape.alpha > 0.0) and abs(tape.alpha.sum() - 1.0) <= 1e-9
         checked += 1

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import build_state
-from hgam.env import (apply_action, cast_lasers, cuav_obs_len, max_obs_len,
-                      muav_obs_len, observe, step)
+from conftest import build_state, observations
+from hgam.env import (_beam_dirs, apply_action, cast_lasers, cuav_obs_len,
+                      max_obs_len, muav_obs_len, step, uav_distances)
 from hgam.errors import ContractError
 from hgam.world import WorldConfig, generate_scenario
 
@@ -30,7 +32,7 @@ def test_apply_action_normalizes():
 def test_lasers_capped_at_fov():
     cfg = WorldConfig(num_obstacles=0)
     s = build_state(cfg, [(8.0, 8.0), (2.0, 2.0), (14.0, 14.0)])
-    readings = cast_lasers(s, 0)
+    readings = cast_lasers(s)[0]
     assert np.all(readings == 4.0)
 
 
@@ -38,14 +40,14 @@ def test_laser_hits_obstacle_surface():
     cfg = WorldConfig()
     s = build_state(cfg, [(4.0, 8.0), (2.0, 2.0), (14.0, 14.0)],
                     obstacles=[(6.0, 8.0, 0.5)])
-    readings = cast_lasers(s, 0)
+    readings = cast_lasers(s)[0]
     assert readings[0] == pytest.approx(1.5)  # beam 0 points along +x
 
 
 def test_laser_wall_distance():
     cfg = WorldConfig(num_obstacles=0)
     s = build_state(cfg, [(0.5, 8.0), (2.0, 2.0), (14.0, 14.0)])
-    readings = cast_lasers(s, 0)
+    readings = cast_lasers(s)[0]
     beam_pi = cfg.num_lasers // 2
     assert readings[beam_pi] == pytest.approx(0.5)
 
@@ -55,9 +57,106 @@ def test_laser_readings_positive_and_below_uav_radius_means_collision():
     for seed in range(5):
         s = generate_scenario(cfg, seed)
         for u in range(3):
-            r = cast_lasers(s, u)
+            r = cast_lasers(s)[u]
             assert np.all(r > 0.0) and np.all(r <= cfg.fov)
             assert np.all(r >= cfg.uav_radius)  # start states are clear
+
+
+# The fleet kernels must stay bit-equal to the per-agent arithmetic they
+# replaced, or fixed-seed outputs change. Both depend on numpy internals:
+# `vecdot` and batched `matmul` round like the `dot` inside a per-vector
+# `np.linalg.norm` and a 2-D `@`, while `np.linalg.norm(v, axis=-1)` and
+# `hypot` do not.
+
+def per_agent_lasers(state, u):
+    """One UAV's readings as a single ray cast (the reference)."""
+    cfg = state.config
+    pos = state.uavs[u].pos
+    dirs = _beam_dirs(cfg.num_lasers)
+    cap = cfg.fov
+    readings = np.full(cfg.num_lasers, cap)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tx = np.where(dirs[:, 0] > 0, (cfg.area_width - pos[0]) / dirs[:, 0],
+                      np.where(dirs[:, 0] < 0, -pos[0] / dirs[:, 0], np.inf))
+        ty = np.where(dirs[:, 1] > 0, (cfg.area_height - pos[1]) / dirs[:, 1],
+                      np.where(dirs[:, 1] < 0, -pos[1] / dirs[:, 1], np.inf))
+    t_wall = np.minimum(np.where(tx > 0, tx, np.inf), np.where(ty > 0, ty, np.inf))
+    readings = np.minimum(readings, t_wall)
+    if len(state.obstacle_r) > 0:
+        rel = state.obstacle_xy - pos[None, :]
+        b = dirs @ rel.T
+        c2 = np.sum(rel ** 2, axis=1)[None, :] - state.obstacle_r[None, :] ** 2
+        disc = b * b - c2
+        hit = disc >= 0.0
+        sq = np.sqrt(np.where(hit, disc, 0.0))
+        t_near = b - sq
+        t_far = b + sq
+        t_obs = np.where(hit & (t_near > 0), t_near,
+                         np.where(hit & (t_far > 0), t_far, np.inf))
+        readings = np.minimum(readings, t_obs.min(axis=1))
+    return np.minimum(readings, cap)
+
+
+@pytest.mark.parametrize("cfg", [WorldConfig(), WorldConfig(global_view=True),
+                                 WorldConfig(num_muavs=4, num_cuavs=2,
+                                             num_lasers=24)])
+def test_fleet_lasers_bit_equal_per_agent_cast(cfg):
+    rng = np.random.default_rng(11)
+    checked = {"free": 0, "wall": 0, "obstacle": 0}
+    for seed in range(40):
+        s = generate_scenario(cfg, seed)
+        for uav in s.uavs:
+            mode = rng.choice(list(checked))
+            if mode == "wall":
+                # within half a unit of one wall, sometimes just outside it
+                axis = rng.integers(2)
+                side = (cfg.area_width, cfg.area_height)[axis] * rng.integers(2)
+                uav.pos[axis] = side + rng.uniform(-0.5, 0.5)
+            elif mode == "obstacle":
+                # around an obstacle's surface, sometimes inside it
+                b = rng.integers(len(s.obstacle_r))
+                ang = rng.uniform(0.0, 2.0 * math.pi)
+                gap = s.obstacle_r[b] + rng.uniform(-0.2, 0.5)
+                uav.pos = s.obstacle_xy[b] + gap * np.array([math.cos(ang), math.sin(ang)])
+            checked[mode] += 1
+        fleet = cast_lasers(s)
+        assert fleet.shape == (len(s.uavs), cfg.num_lasers)
+        for u in range(len(s.uavs)):
+            assert fleet[u].tobytes() == per_agent_lasers(s, u).tobytes()
+    assert min(checked.values()) >= 20
+    # exactly on a wall, in corners, on an obstacle's center and surface
+    s = generate_scenario(cfg, 0)
+    ox, oy = s.obstacle_xy[0]
+    spots = [(0.0, 8.0), (cfg.area_width, cfg.area_height), (8.0, 0.0),
+             (0.0, 0.0), (ox, oy), (ox + s.obstacle_r[0], oy)]
+    for k in range(0, len(spots), len(s.uavs)):
+        for uav, spot in zip(s.uavs, spots[k:]):
+            uav.pos = np.array(spot)
+        fleet = cast_lasers(s)
+        for u in range(len(s.uavs)):
+            assert fleet[u].tobytes() == per_agent_lasers(s, u).tobytes()
+
+
+scaled = st.builds(lambda m, scale: m * scale, st.floats(-16.0, 16.0),
+                   st.sampled_from([1e-150, 1.0, 1e150]))
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(scaled, scaled), min_size=1, max_size=4),
+       st.lists(st.integers(0, 3), min_size=1, max_size=6))
+@example([(1e-150, -3e-150), (2e-150, 5e-151)], [0, 1, 0])
+@example([(1e150, -3e150), (-2e150, 5e149)], [0, 1, 1])
+def test_uav_distances_bit_equal_per_pair_norm(pool, picks):
+    # repeated picks put several UAVs on one point
+    pos = [pool[i % len(pool)] for i in picks]
+    cfg = WorldConfig(num_muavs=len(pos), num_cuavs=0, num_obstacles=0)
+    s = build_state(cfg, pos)
+    got = uav_distances(s)
+    assert got.shape == (len(pos), len(pos))
+    for i, a in enumerate(s.uavs):
+        for j, b in enumerate(s.uavs):
+            want = np.linalg.norm(b.pos - a.pos)
+            assert got[i, j].tobytes() == want.tobytes()
 
 
 # --- step dynamics ----------------------------------------------------------
@@ -185,14 +284,14 @@ def test_observation_lengths_default():
     assert cuav_obs_len(cfg) == 41
     assert max_obs_len(cfg) == 49
     s = generate_scenario(cfg, 7)
-    assert len(observe(s, 0)) == 49
-    assert len(observe(s, 2)) == 41
+    assert len(observations(s)[0]) == 49
+    assert len(observations(s)[2]) == 41
 
 
 def test_observation_poi_block_zero_padded():
     cfg = WorldConfig(num_cuavs=0, num_muavs=1, num_obstacles=0, num_pois=1)
     s = build_state(cfg, [(8.0, 8.0)], poi_pos=[(1.0, 1.0)], poi_m0=[1.0])
-    obs = observe(s, 0)
+    obs = observations(s)[0]
     poi_block = obs[cfg.num_lasers + 8: cfg.num_lasers + 8 + 15]
     assert np.all(poi_block == 0.0)  # the only PoI is out of view
 
@@ -200,7 +299,7 @@ def test_observation_poi_block_zero_padded():
 def test_observation_absent_uav_blocks_pad_with_fov():
     cfg = WorldConfig(num_cuavs=0, num_muavs=1, num_obstacles=0, num_pois=0)
     s = build_state(cfg, [(8.0, 8.0)])
-    obs = observe(s, 0)
+    obs = observations(s)[0]
     blocks = obs[cfg.num_lasers: cfg.num_lasers + 8].reshape(2, 4)
     for b in blocks:
         assert b == pytest.approx([0.0, 0.0, cfg.fov, 0.0])
@@ -211,7 +310,7 @@ def test_observation_poi_blocks_nearest_first():
     s = build_state(cfg, [(8.0, 8.0)],
                     poi_pos=[(10.5, 8.0), (8.5, 8.0), (9.5, 8.0)],
                     poi_m0=[0.9, 0.8, 0.7])
-    obs = observe(s, 0)
+    obs = observations(s)[0]
     start = cfg.num_lasers + 8
     blocks = obs[start: start + 15].reshape(5, 3)
     assert blocks[0] == pytest.approx([1.0, 0.0, 0.8])   # nearest
@@ -224,7 +323,7 @@ def test_observation_depleted_pois_hidden():
     cfg = WorldConfig(num_cuavs=0, num_muavs=1, num_obstacles=0, num_pois=1)
     s = build_state(cfg, [(8.0, 8.0)], poi_pos=[(8.5, 8.0)], poi_m0=[1.0])
     s.poi_rem[0] = 0.0
-    obs = observe(s, 0)
+    obs = observations(s)[0]
     start = cfg.num_lasers + 8
     assert np.all(obs[start: start + 15] == 0.0)
 
@@ -234,7 +333,7 @@ def test_cuav_energy_table():
     s = build_state(cfg, [(8.0, 8.0), (8.0, 10.0), (8.0, 9.0)])
     s.uavs[0].ed = 10.0
     s.uavs[0].ec = 4.0
-    obs = observe(s, 2)
+    obs = observations(s)[2]
     start = cfg.num_lasers + 8
     table = obs[start: start + 10].reshape(2, 5)
     assert table[0] == pytest.approx([(50.0 - 6.0) / 50.0, 4.0 / 50.0, 0.0, -1.0, 1.0])
@@ -244,8 +343,8 @@ def test_cuav_energy_table():
 def test_observation_self_block_and_type_onehot():
     cfg = WorldConfig(num_obstacles=0)
     s = build_state(cfg, [(4.0, 8.0), (12.0, 8.0), (8.0, 8.0)])
-    obs_m = observe(s, 0)
-    obs_c = observe(s, 2)
+    obs_m = observations(s)[0]
+    obs_c = observations(s)[2]
     assert obs_m[-2:] == pytest.approx([1.0, 0.0])
     assert obs_c[-2:] == pytest.approx([0.0, 1.0])
     # normalized position of the first MUAV

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import build_state
-from hgam import rollout
+from hgam import env, rollout
 from hgam.cli import main
 from hgam.env import step
 from hgam.errors import ConfigError
@@ -152,12 +152,46 @@ def test_evaluation_observes_only_states_it_acts_on(monkeypatch, tmp_path,
     calls = []
     real = rollout.observe
     monkeypatch.setattr(rollout, "observe",
-                        lambda state, u: calls.append(u) or real(state, u))
+                        lambda state, u, *sensing: calls.append(u)
+                        or real(state, u, *sensing))
     report = evaluate(policy, wc, 4, seed=0, out_dir=tmp_path,
                       export_traj=export_traj)
     steps = sum(row["episode_len"] for row in report["per_episode"])
     assert steps > 4
     assert len(calls) == steps * wc.num_uavs
+
+
+@pytest.mark.parametrize("policy_kind", ["hgam", "greedy"])
+def test_evaluation_senses_each_state_once(monkeypatch, policy_kind):
+    # step senses every successor; the episode's first state is sensed by
+    # its joint observation, which only observing policies build
+    wc = WorldConfig()
+    if policy_kind == "hgam":
+        policy = ActorPolicy(Trainer(wc, TrainConfig(buffer_capacity=64), seed=0).actors, wc)
+    else:
+        policy = GreedyPolicy()
+    calls = {"cast_lasers": 0, "uav_distances": 0, "observe": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module in (env, rollout):
+        counted(module, "cast_lasers")
+        counted(module, "uav_distances")
+    counted(rollout, "observe")
+    episodes = 3
+    report = evaluate(policy, wc, episodes, seed=0)
+    steps = sum(row["episode_len"] for row in report["per_episode"])
+    assert steps > episodes
+    first_states = episodes if policy.reads_obs else 0
+    assert calls["cast_lasers"] == steps + first_states
+    assert calls["uav_distances"] == steps + first_states
+    assert calls["observe"] == (steps * wc.num_uavs if policy.reads_obs else 0)
 
 
 # --- CLI ---------------------------------------------------------------------

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import build_state
-from hgam.env import observe
+from conftest import build_state, observations
+from hgam.env import uav_distances
 from hgam.hetgraph import (build_global_graph, build_local_graph,
                            global_action_slice, global_feature_batch,
                            global_feature_width, local_feature_batch,
@@ -17,13 +17,9 @@ def default_state():
                        poi_pos=[(4.5, 8.0)], poi_m0=[0.7])
 
 
-def all_obs(state):
-    return [observe(state, u) for u in range(len(state.uavs))]
-
-
 def test_local_graph_full_fleet():
     s = default_state()
-    g = build_local_graph(s, 0, all_obs(s))
+    g = build_local_graph(s, 0, observations(s))
     assert g.node_ids == [0, 1, 2]
     assert g.node_kinds == [MUAV, MUAV, CUAV]
     assert g.ego == 0
@@ -34,7 +30,7 @@ def test_local_graph_full_fleet():
 def test_local_graph_single_agent():
     cfg = WorldConfig(num_muavs=1, num_cuavs=0, num_obstacles=0)
     s = build_state(cfg, [(8.0, 8.0)])
-    g = build_local_graph(s, 0, all_obs(s))
+    g = build_local_graph(s, 0, observations(s))
     assert g.node_ids == [0]
     assert g.edges == []
 
@@ -42,32 +38,32 @@ def test_local_graph_single_agent():
 def test_local_graph_nearest_of_type():
     cfg = WorldConfig(num_muavs=2, num_cuavs=1, num_obstacles=0)
     s = build_state(cfg, [(5.0, 8.0), (11.0, 8.0), (8.0, 8.0)])
-    g = build_local_graph(s, 2, all_obs(s))  # ego CUAV between two MUAVs
+    g = build_local_graph(s, 2, observations(s))  # ego CUAV between two MUAVs
     assert g.node_ids == [2, 0]  # MUAV 0 at distance 3 beats MUAV 1 (tie -> none here)
     s.uavs[1].pos = np.array([10.0, 8.0])
-    g = build_local_graph(s, 2, all_obs(s))
+    g = build_local_graph(s, 2, observations(s))
     assert g.node_ids == [2, 1]  # now MUAV 1 at distance 2 wins
 
 
 def test_local_neighbor_tie_breaks_low_index():
     cfg = WorldConfig(num_muavs=3, num_cuavs=0, num_obstacles=0)
     s = build_state(cfg, [(8.0, 8.0), (8.0, 10.0), (8.0, 6.0)])
-    muav_nbr, cuav_nbr = local_neighbors(s, 0)
+    muav_nbr, cuav_nbr = local_neighbors(s, 0, uav_distances(s))
     assert muav_nbr == 1 and cuav_nbr is None
 
 
 def test_comm_radius_caps_neighbors():
     cfg = WorldConfig(num_obstacles=0, comm_radius=3.0)
     s = build_state(cfg, [(4.0, 8.0), (10.0, 8.0), (8.0, 4.0)])
-    muav_nbr, cuav_nbr = local_neighbors(s, 0)
+    muav_nbr, cuav_nbr = local_neighbors(s, 0, uav_distances(s))
     assert muav_nbr is None and cuav_nbr is None  # both beyond 3 units
     s.uavs[1].pos = np.array([6.0, 8.0])
-    assert local_neighbors(s, 0) == (1, None)
+    assert local_neighbors(s, 0, uav_distances(s)) == (1, None)
 
 
 def test_local_feature_layout():
     s = default_state()
-    obs = all_obs(s)
+    obs = observations(s)
     g = build_local_graph(s, 2, obs)
     width = local_feature_width(s.config)
     assert g.features.shape == (2, width)
@@ -79,7 +75,7 @@ def test_local_feature_layout():
 
 def test_global_graph_views():
     s = default_state()
-    obs = all_obs(s)
+    obs = observations(s)
     actions = [np.array([0.1, -0.2]), np.zeros(2), np.array([1.0, 1.0])]
     views = build_global_graph(s, obs, actions)
     assert len(views) == 3
@@ -97,7 +93,7 @@ def test_global_feature_width_and_action_slot():
     assert global_feature_width(cfg) == 53
     assert local_feature_width(cfg) == 51
     s = default_state()
-    obs = all_obs(s)
+    obs = observations(s)
     actions = [np.array([0.3, -0.7]), np.zeros(2), np.zeros(2)]
     views = build_global_graph(s, obs, actions)
     sl = global_action_slice(cfg)
@@ -117,14 +113,14 @@ def test_templates_follow_fleet_composition():
 def test_batched_features_match_single_graphs():
     s = default_state()
     cfg = s.config
-    obs = all_obs(s)
+    obs = observations(s)
     width = max(len(o) for o in obs)
     obs_rows = np.zeros((1, 3, width))
     for u, o in enumerate(obs):
         obs_rows[0, u, : len(o)] = o
     nbrs = np.full((1, 3, 2), -1, dtype=np.int64)
     for u in range(3):
-        mn, cn = local_neighbors(s, u)
+        mn, cn = local_neighbors(s, u, uav_distances(s))
         nbrs[0, u] = (-1 if mn is None else mn, -1 if cn is None else cn)
     kinds = [u.kind for u in s.uavs]
 

@@ -25,6 +25,8 @@ def make_events(num_muavs=2, num_uavs=3, collected=None, dist=None,
         discovered=discovered if discovered is not None else [np.zeros(0, int)] * num_muavs,
         terminated=False,
         cause=None,
+        lasers=np.full((num_uavs, 16), 4.0),
+        uav_dists=np.zeros((num_uavs, num_uavs)),
     )
 
 

@@ -511,7 +511,8 @@ def test_training_episode_observes_every_state_once(monkeypatch):
     calls = []
     real = rollout.observe
     monkeypatch.setattr(rollout, "observe",
-                        lambda state, u: calls.append(u) or real(state, u))
+                        lambda state, u, *sensing: calls.append(u)
+                        or real(state, u, *sensing))
     row = trainer.run_episode(1)
     # the terminal state too: the last transition stores it as next_obs
     assert len(calls) == (row["steps"] + 1) * trainer.num_agents
