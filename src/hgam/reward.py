@@ -56,14 +56,14 @@ def muav_reward(events: StepEvents, dilemma: bool, m: int,
     return RewardBreakdown(h, iota, pl, pb, h + iota - pl - pb)
 
 
-def cuav_neglect_penalty(state: WorldState, c: int, config: WorldConfig) -> float:
+def cuav_neglect_penalty(state: WorldState, c: int, uav_dists: np.ndarray,
+                         config: WorldConfig) -> float:
     """Distance-plus-urgency penalty anchored on the lowest-battery MUAV
-    (ties go to the lowest index). Battery levels below zero count as empty."""
-    muavs = state.muavs()
-    ers = np.array([u.er for u in muavs])
+    (ties go to the lowest index). Battery levels below zero count as empty.
+    `uav_dists` is the state's `(U, U)` UAV distance matrix."""
+    ers = np.array([u.er for u in state.muavs()])
     i = int(np.argmin(ers))
-    dist = float(np.linalg.norm(state.uavs[c].pos - muavs[i].pos))
-    return config.w_d * dist + config.w_e * max(float(ers[i]), 0.0)
+    return config.w_d * float(uav_dists[c, i]) + config.w_e * max(float(ers[i]), 0.0)
 
 
 def cuav_hierarchical_penalty(outcome: ChargeOutcome, config: WorldConfig) -> float:
@@ -87,7 +87,7 @@ def cuav_reward(state: WorldState, events: StepEvents, c: int,
         iota = 0.0
     else:
         h = 0.0
-        iota = cuav_neglect_penalty(state, c, config)
+        iota = cuav_neglect_penalty(state, c, events.uav_dists, config)
     pl = cuav_hierarchical_penalty(outcome, config)
     pb = _safety_penalty(events, c, config)
     return RewardBreakdown(h, iota, pl, pb, h - iota - pl - pb)

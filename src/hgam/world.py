@@ -245,12 +245,6 @@ def lens_area(d: float, r: float) -> float:
     return 2.0 * r * r * math.acos(d / (2.0 * r)) - 0.5 * d * math.sqrt(4.0 * r * r - d * d)
 
 
-def circle_overlap_area(c1: np.ndarray, c2: np.ndarray, r: float) -> float:
-    """Intersection area of two equal-radius disks."""
-    d = float(np.linalg.norm(np.asarray(c1, dtype=float) - np.asarray(c2, dtype=float)))
-    return lens_area(d, r)
-
-
 def _load_flat_mapping(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         data = yaml.safe_load(fh)

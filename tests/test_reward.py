@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_state
-from hgam.env import ChargeOutcome, StepEvents, step
+from hgam.env import ChargeOutcome, StepEvents, step, uav_distances
 from hgam.reward import (DilemmaWindow, cuav_hierarchical_penalty,
                          cuav_neglect_penalty, cuav_reward, detect_dilemma,
                          fairness_factor, muav_reward)
@@ -14,7 +14,8 @@ from hgam.world import WorldConfig
 
 
 def make_events(num_muavs=2, num_uavs=3, collected=None, dist=None,
-                charge=None, collided=None, min_laser=None, discovered=None):
+                charge=None, collided=None, min_laser=None, discovered=None,
+                uav_dists=None):
     return StepEvents(
         collected=np.zeros(num_muavs) if collected is None else np.asarray(collected, dtype=float),
         collection_breakdown=[],
@@ -26,7 +27,7 @@ def make_events(num_muavs=2, num_uavs=3, collected=None, dist=None,
         terminated=False,
         cause=None,
         lasers=np.full((num_uavs, 16), 4.0),
-        uav_dists=np.zeros((num_uavs, num_uavs)),
+        uav_dists=np.zeros((num_uavs, num_uavs)) if uav_dists is None else uav_dists,
     )
 
 
@@ -105,21 +106,22 @@ def test_neglect_penalty_formula():
     cfg = WorldConfig()
     s = build_state(cfg, [(0.0, 0.0), (5.0, 5.0), (2.0, 0.0)])
     s.muavs()[0].ed = 40.0   # er = 10, the needy one, at distance 2
-    assert cuav_neglect_penalty(s, 2, cfg) == pytest.approx(0.1 * 2.0 + 1.6 * 10.0)
+    assert cuav_neglect_penalty(s, 2, uav_distances(s), cfg) == pytest.approx(
+        0.1 * 2.0 + 1.6 * 10.0)
 
 
 def test_neglect_penalty_colocated_empty():
     cfg = WorldConfig()
     s = build_state(cfg, [(2.0, 2.0), (5.0, 5.0), (2.0, 2.0)])
     s.muavs()[0].ed = 50.0   # er = 0
-    assert cuav_neglect_penalty(s, 2, cfg) == pytest.approx(0.0)
+    assert cuav_neglect_penalty(s, 2, uav_distances(s), cfg) == pytest.approx(0.0)
 
 
 def test_neglect_penalty_tie_goes_to_lowest_index():
     cfg = WorldConfig()
     s = build_state(cfg, [(1.0, 1.0), (6.0, 6.0), (6.0, 6.0)])
     # equal energies: target must be MUAV 0 at distance > 0
-    val = cuav_neglect_penalty(s, 2, cfg)
+    val = cuav_neglect_penalty(s, 2, uav_distances(s), cfg)
     d0 = np.linalg.norm(s.uavs[2].pos - s.uavs[0].pos)
     assert val == pytest.approx(0.1 * d0 + 1.6 * 50.0)
 
@@ -155,11 +157,11 @@ def test_cuav_reward_effective_charge():
 def test_cuav_reward_idle_far_away():
     cfg = WorldConfig()
     s = build_state(cfg, [(1.0, 1.0), (2.0, 2.0), (14.0, 14.0)])
-    ev = make_events(charge=[outcome(None)])
+    ev = make_events(charge=[outcome(None)], uav_dists=uav_distances(s))
     bd = cuav_reward(s, ev, 2, cfg)
     assert bd.h == 0.0
     assert bd.pl == pytest.approx(2.0)
-    assert bd.iota == pytest.approx(cuav_neglect_penalty(s, 2, cfg))
+    assert bd.iota == pytest.approx(cuav_neglect_penalty(s, 2, uav_distances(s), cfg))
     assert bd.total == pytest.approx(-bd.iota - 2.0)
 
 

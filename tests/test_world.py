@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hgam.errors import ConfigError, InfeasibleScenarioError
-from hgam.world import (CUAV, MUAV, WorldConfig, circle_overlap_area,
-                        generate_scenario, load_world_config)
+from hgam.world import (CUAV, MUAV, WorldConfig, generate_scenario, lens_area,
+                        load_world_config, norms)
 
 
 def test_default_scenario_counts():
@@ -101,17 +101,23 @@ def test_global_view_widens_fov():
 
 # --- circle overlap ---------------------------------------------------------
 
+def overlap(c1, c2, r):
+    """Intersection area of two radius-r disks, computed the way
+    `detect_dilemma` does: the lens formula at the `norms` distance."""
+    return lens_area(float(norms(np.subtract(c1, c2, dtype=float))), r)
+
+
 def test_overlap_full():
-    assert circle_overlap_area((3.0, 2.0), (3.0, 2.0), 1.0) == pytest.approx(math.pi)
+    assert overlap((3.0, 2.0), (3.0, 2.0), 1.0) == pytest.approx(math.pi)
 
 
 def test_overlap_tangent():
-    assert circle_overlap_area((0.0, 0.0), (2.0, 0.0), 1.0) == 0.0
+    assert overlap((0.0, 0.0), (2.0, 0.0), 1.0) == 0.0
 
 
 def test_overlap_unit_distance():
     # frozen from the Monte-Carlo oracle in test_overlap_matches_monte_carlo
-    assert circle_overlap_area((0.0, 0.0), (1.0, 0.0), 1.0) == pytest.approx(
+    assert overlap((0.0, 0.0), (1.0, 0.0), 1.0) == pytest.approx(
         1.2283696986087567, abs=1e-12)
 
 
@@ -122,14 +128,14 @@ def test_overlap_matches_monte_carlo():
     inside = (np.linalg.norm(pts, axis=1) <= r) & \
              (np.linalg.norm(pts - (d, 0.0), axis=1) <= r)
     est = inside.mean() * 3.0 * 2.0
-    assert circle_overlap_area((0.0, 0.0), (d, 0.0), r) == pytest.approx(est, rel=0.02)
+    assert overlap((0.0, 0.0), (d, 0.0), r) == pytest.approx(est, rel=0.02)
 
 
 @given(st.floats(-5, 5), st.floats(-5, 5), st.floats(-5, 5), st.floats(-5, 5),
        st.floats(0.1, 3.0))
 def test_overlap_symmetric_and_bounded(x1, y1, x2, y2, r):
-    a = circle_overlap_area((x1, y1), (x2, y2), r)
-    b = circle_overlap_area((x2, y2), (x1, y1), r)
+    a = overlap((x1, y1), (x2, y2), r)
+    b = overlap((x2, y2), (x1, y1), r)
     assert a == pytest.approx(b, abs=1e-12)
     assert -1e-12 <= a <= math.pi * r * r + 1e-12
 
@@ -138,6 +144,6 @@ def test_overlap_symmetric_and_bounded(x1, y1, x2, y2, r):
 @given(st.floats(0.0, 3.0), st.floats(0.0, 3.0), st.floats(0.2, 2.0))
 def test_overlap_monotone_in_distance(d1, d2, r):
     lo, hi = sorted((d1, d2))
-    a_near = circle_overlap_area((0.0, 0.0), (lo, 0.0), r)
-    a_far = circle_overlap_area((0.0, 0.0), (hi, 0.0), r)
+    a_near = overlap((0.0, 0.0), (lo, 0.0), r)
+    a_far = overlap((0.0, 0.0), (hi, 0.0), r)
     assert a_near >= a_far - 1e-12
