@@ -13,7 +13,7 @@ from .env import write_poi_csv, write_trajectory_csv
 from .errors import ConfigError
 from .rollout import run_episode
 from .training import actor_actions, load_actor_networks
-from .world import CUAV, MUAV, WorldConfig, WorldState, generate_scenario
+from .world import MUAV, WorldConfig, WorldState, generate_scenario
 
 POLICY_KINDS = ("greedy", "random", "hgam", "hgam_no_gat")
 
@@ -82,24 +82,21 @@ class ActorPolicy:
 
     reads_obs = True
 
-    def __init__(self, actors, config: WorldConfig, use_gat: bool = True):
-        self.name = "hgam" if use_gat else "hgam_no_gat"
+    def __init__(self, actors, config: WorldConfig):
+        self.name = "hgam" if actors[0].spec.use_gat else "hgam_no_gat"
         self.config = config
-        self.use_gat = use_gat
         self.actors = actors
-        self.kinds = [MUAV] * config.num_muavs + [CUAV] * config.num_cuavs
 
     @classmethod
     def from_checkpoint(cls, checkpoint_path, config: WorldConfig,
                         use_gat: bool = True) -> "ActorPolicy":
-        return cls(load_actor_networks(checkpoint_path, config), config, use_gat)
+        return cls(load_actor_networks(checkpoint_path, config, use_gat), config)
 
     def reset(self, episode_seed: int) -> None:
         pass
 
     def actions(self, state: WorldState, obs, nbrs) -> np.ndarray:
-        out = actor_actions(self.actors, self.kinds, self.config, obs[None],
-                            nbrs[None], self.use_gat)[0]
+        out = actor_actions(self.actors, self.config, obs[None], nbrs[None])[0]
         return np.clip(out, -1.0, 1.0)
 
 

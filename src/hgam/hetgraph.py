@@ -119,18 +119,10 @@ def build_global_graph(state: WorldState, observations, actions) -> list[HeteroG
 # ---------------------------------------------------------------------------
 # fixed per-agent templates for batched replay processing
 
-@dataclass(frozen=True)
-class LocalTemplate:
-    """Node layout of one agent's local graph: ego first, then the MUAV
+def local_template(config: WorldConfig, ego_kind: str) -> tuple[str, ...]:
+    """Node kinds of one agent's local graph: ego first, then the MUAV
     neighbor slot, then the CUAV neighbor slot (slots exist whenever the
     fleet could supply such a neighbor; per-sample absence is masked)."""
-
-    kinds: tuple[str, ...]
-    has_muav_slot: bool
-    has_cuav_slot: bool
-
-
-def local_template(config: WorldConfig, ego_kind: str) -> LocalTemplate:
     others_muav = config.num_muavs - (1 if ego_kind == MUAV else 0)
     others_cuav = config.num_cuavs - (1 if ego_kind == CUAV else 0)
     kinds = [ego_kind]
@@ -138,32 +130,31 @@ def local_template(config: WorldConfig, ego_kind: str) -> LocalTemplate:
         kinds.append(MUAV)
     if others_cuav > 0:
         kinds.append(CUAV)
-    return LocalTemplate(tuple(kinds), others_muav > 0, others_cuav > 0)
+    return tuple(kinds)
 
 
 def local_feature_batch(obs: np.ndarray, nbrs: np.ndarray, ego: int,
-                        kinds: list[str], config: WorldConfig):
-    """Assemble (B, n_nodes, F) local-graph features for one ego agent from
-    replay rows.
+                        config: WorldConfig):
+    """Assemble (B, n_nodes, F) local-graph features for agent `ego` of
+    `config`'s fleet from replay rows.
 
     obs: (B, U, W) padded observations; nbrs: (B, U, 2) neighbor indices
     (column 0 = MUAV neighbor, 1 = CUAV neighbor, -1 = absent). Returns
-    (features, neighbor mask (B, n_nodes-1)).
+    (features, node kinds, neighbor mask (B, n_nodes-1)).
     """
-    tpl = local_template(config, kinds[ego])
+    ego_kind = config.kinds[ego]
+    node_kinds = local_template(config, ego_kind)
     b = obs.shape[0]
     width = local_feature_width(config)
-    n_nodes = len(tpl.kinds)
+    n_nodes = len(node_kinds)
     feats = np.zeros((b, n_nodes, width))
     mask = np.zeros((b, n_nodes - 1), dtype=bool)
 
     feats[:, 0, : obs.shape[2]] = obs[:, ego, :]
-    feats[:, 0, -2:] = TYPE_ONE_HOT[kinds[ego]]
+    feats[:, 0, -2:] = TYPE_ONE_HOT[ego_kind]
 
-    slot = 1
-    for col, flag, kind in ((0, tpl.has_muav_slot, MUAV), (1, tpl.has_cuav_slot, CUAV)):
-        if not flag:
-            continue
+    for slot, kind in enumerate(node_kinds[1:], start=1):
+        col = 0 if kind == MUAV else 1
         idx = nbrs[:, ego, col]
         present = idx >= 0
         safe = np.where(present, idx, 0)
@@ -172,18 +163,17 @@ def local_feature_batch(obs: np.ndarray, nbrs: np.ndarray, ego: int,
         feats[:, slot, : obs.shape[2]] = rows
         feats[:, slot, -2:] = np.where(present[:, None], TYPE_ONE_HOT[kind], 0.0)
         mask[:, slot - 1] = present
-        slot += 1
-    return feats, mask
+    return feats, node_kinds, mask
 
 
 def global_feature_batch(obs: np.ndarray, actions: np.ndarray,
-                         kinds: list[str], config: WorldConfig) -> np.ndarray:
-    """(B, U, F) global-graph features from replay rows of padded
-    observations (B, U, W) and joint actions (B, U, 2)."""
+                         config: WorldConfig) -> np.ndarray:
+    """(B, U, F) global-graph features of `config`'s fleet from replay rows
+    of padded observations (B, U, W) and joint actions (B, U, 2)."""
     b, n, w = obs.shape
     feats = np.zeros((b, n, global_feature_width(config)))
     feats[:, :, :w] = obs
     feats[:, :, global_action_slice(config)] = actions
-    for i, kind in enumerate(kinds):
+    for i, kind in enumerate(config.kinds):
         feats[:, i, -2:] = TYPE_ONE_HOT[kind]
     return feats

@@ -9,6 +9,7 @@ exactly softmax over the present subset.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -16,7 +17,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CheckpointError
-from .hetgraph import HeteroGraph
 
 EMBED_DIM = 64
 HEAD_HIDDEN = 128
@@ -37,6 +37,7 @@ class NetSpec:
     out_activation: str           # TANH or LINEAR
     embed_dim: int = EMBED_DIM
     head_hidden: int = HEAD_HIDDEN
+    use_gat: bool = True          # False: the no-GAT ablation's zero aggregate
 
     def param_shapes(self) -> dict[str, tuple[int, int] | tuple[int]]:
         shapes: dict = {}
@@ -148,7 +149,6 @@ class Tape:
     ego: int
     nbr_idx: np.ndarray          # node indices of the neighbors
     mask: np.ndarray | None      # (B, n-1) neighbor presence
-    use_gat: bool
     s1: np.ndarray               # (B, n, E) first encoder layer slopes
     a1: np.ndarray
     s2: np.ndarray
@@ -164,7 +164,7 @@ class Tape:
 
 
 def forward(net: Network, feats: np.ndarray, kinds, ego: int,
-            mask: np.ndarray | None = None, use_gat: bool = True) -> Tape:
+            mask: np.ndarray | None = None) -> Tape:
     """Batched forward pass over graphs sharing one node template.
 
     feats: (B, n, F); kinds: length-n node kinds; ego: ego slot index;
@@ -196,7 +196,7 @@ def forward(net: Network, feats: np.ndarray, kinds, ego: int,
     nbr_idx = np.array([i for i in range(n) if i != ego], dtype=int)
     wh = se = alpha = None
     g = np.zeros((b, e_dim))
-    if use_gat and len(nbr_idx) > 0:
+    if spec.use_gat and len(nbr_idx) > 0:
         wh = (h.reshape(-1, e_dim) @ p["gat_w"].T).reshape(b, n, e_dim)
         a_src = p["gat_a"][:e_dim]
         a_dst = p["gat_a"][e_dim:]
@@ -222,7 +222,7 @@ def forward(net: Network, feats: np.ndarray, kinds, ego: int,
     z4 = a3 @ p["head_w2"].T + p["head_b2"]
     out = np.tanh(z4) if spec.out_activation == TANH else z4
 
-    return Tape(feats, kinds, ego, nbr_idx, mask, use_gat,
+    return Tape(feats, kinds, ego, nbr_idx, mask,
                 s1, a1, s2, h, wh, se, alpha, g, x_head, s3, a3, out)
 
 
@@ -247,7 +247,7 @@ def backward(net: Network, tape: Tape, dout: np.ndarray):
     dx_head = dz3 @ p["head_w1"]
 
     dg = dx_head[:, e_dim:]
-    if tape.use_gat and len(tape.nbr_idx) > 0:
+    if spec.use_gat and len(tape.nbr_idx) > 0:
         wh_nbr = tape.wh[:, tape.nbr_idx, :]
         a_src = p["gat_a"][:e_dim]
         a_dst = p["gat_a"][e_dim:]
@@ -335,22 +335,6 @@ def gat_aggregate(net: Network, h_ego: np.ndarray,
     return alpha @ (nbr @ net.params["gat_w"].T)
 
 
-def forward_graph(net: Network, graph: HeteroGraph, use_gat: bool = True) -> Tape:
-    mask = None
-    return forward(net, graph.features[None, :, :], tuple(graph.node_kinds),
-                   graph.ego, mask, use_gat)
-
-
-def actor_forward(net: Network, graph: HeteroGraph, use_gat: bool = True) -> np.ndarray:
-    """Continuous action in (-1, 1)^2 from a local graph."""
-    return forward_graph(net, graph, use_gat).out[0]
-
-
-def critic_forward(net: Network, graph: HeteroGraph, use_gat: bool = True) -> float:
-    """Scalar joint action-value from one ego view of the global graph."""
-    return float(forward_graph(net, graph, use_gat).out[0, 0])
-
-
 def adam_step(net: Network, grads: dict[str, np.ndarray], lr: float) -> None:
     """Bias-corrected adaptive moment update, in place over the flat buffer."""
     net.adam_t += 1
@@ -381,24 +365,33 @@ CHECKPOINT_VERSION = 1
 
 def save_checkpoint(path, tensors: dict[str, np.ndarray]) -> None:
     """Binary dump of named float64 tensors (vectors as one row, little
-    endian), in sorted name order."""
+    endian), in sorted name order. The dump goes to a temporary file next to
+    `path`, is synced and then renamed over it, so a failed save leaves the
+    previous checkpoint intact."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
-        fh = open(path, "wb")
-    except OSError as exc:
-        raise CheckpointError(f"cannot write checkpoint {path}: {exc}") from exc
-    with fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        for name in sorted(tensors):
-            arr = np.asarray(tensors[name], dtype="<f8")
-            mat = arr.reshape(1, -1) if arr.ndim <= 1 else arr
-            if mat.ndim != 2:
-                raise CheckpointError(f"tensor {name} has rank {arr.ndim} > 2")
-            raw = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
-            fh.write(struct.pack("<II", mat.shape[0], mat.shape[1]))
-            fh.write(np.ascontiguousarray(mat, dtype="<f8").tobytes())
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<I", CHECKPOINT_VERSION))
+            for name in sorted(tensors):
+                arr = np.asarray(tensors[name], dtype="<f8")
+                mat = arr.reshape(1, -1) if arr.ndim <= 1 else arr
+                if mat.ndim != 2:
+                    raise CheckpointError(f"tensor {name} has rank {arr.ndim} > 2")
+                raw = name.encode("utf-8")
+                fh.write(struct.pack("<I", len(raw)))
+                fh.write(raw)
+                fh.write(struct.pack("<II", mat.shape[0], mat.shape[1]))
+                fh.write(np.ascontiguousarray(mat, dtype="<f8").tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException as exc:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise CheckpointError(f"cannot write checkpoint {path}: {exc}") from exc
+        raise
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:

@@ -12,9 +12,9 @@ import numpy as np
 
 from .env import max_obs_len
 from .errors import CheckpointError, ConfigError, ContractError
-from .hetgraph import (CUAV, MUAV, global_action_slice, global_feature_batch,
+from .hetgraph import (global_action_slice, global_feature_batch,
                        global_feature_width, local_feature_batch,
-                       local_feature_width, local_template)
+                       local_feature_width)
 from .neural import (LINEAR, TANH, NetSpec, Network, adam_step, backward,
                      forward, network_from_tensors, network_tensors,
                      save_checkpoint)
@@ -41,7 +41,6 @@ class TrainConfig:
     noise_decay: float = 0.9995
     noise_min: float = 0.05
     max_episodes: int = 500
-    share_actor_per_type: bool = False
     use_gat: bool = True
 
     def validate(self) -> "TrainConfig":
@@ -137,9 +136,9 @@ class SumTree:
         return idx, self.sums[node] / total
 
 
-def per_update(tree: SumTree, index: int, new_delta: float, alpha: float,
-               epsilon_p: float = PRIORITY_EPS) -> None:
-    tree.set(index, (abs(new_delta) + epsilon_p) ** alpha)
+def priorities(deltas, alpha: float, eps: float = PRIORITY_EPS) -> np.ndarray:
+    """Sum-tree priorities (|delta| + eps)^alpha of TD errors."""
+    return (np.abs(deltas) + eps) ** alpha
 
 
 def nstep_return(rewards, gamma: float, n: int):
@@ -237,46 +236,42 @@ def soft_update(target: Network, source: Network, tau: float) -> None:
 # ---------------------------------------------------------------------------
 # update rules (free functions so they can be exercised in isolation)
 
-def actor_spec(config: WorldConfig) -> NetSpec:
-    kinds = ([MUAV] if config.num_muavs else []) + ([CUAV] if config.num_cuavs else [])
-    return NetSpec({k: local_feature_width(config) for k in kinds}, 2, TANH)
+def actor_spec(config: WorldConfig, use_gat: bool = True) -> NetSpec:
+    return NetSpec({k: local_feature_width(config) for k in config.kinds}, 2,
+                   TANH, use_gat=use_gat)
 
 
-def critic_spec(config: WorldConfig) -> NetSpec:
-    kinds = ([MUAV] if config.num_muavs else []) + ([CUAV] if config.num_cuavs else [])
-    return NetSpec({k: global_feature_width(config) for k in kinds}, 1, LINEAR)
+def critic_spec(config: WorldConfig, use_gat: bool = True) -> NetSpec:
+    return NetSpec({k: global_feature_width(config) for k in config.kinds}, 1,
+                   LINEAR, use_gat=use_gat)
 
 
-def actor_actions(actors, kinds, config: WorldConfig, obs: np.ndarray,
-                  nbrs: np.ndarray, use_gat: bool = True) -> np.ndarray:
+def actor_actions(actors, config: WorldConfig, obs: np.ndarray,
+                  nbrs: np.ndarray) -> np.ndarray:
     """Decentralized execution: agent u's actor `actors[u]` on its own local
     graph, built from padded observations (B, U, W) and neighbor rows
     (B, U, 2). Returns the unclipped actions (B, U, 2)."""
-    out = np.empty((obs.shape[0], len(kinds), 2))
-    for u, kind in enumerate(kinds):
-        feats, mask = local_feature_batch(obs, nbrs, u, kinds, config)
-        out[:, u] = forward(actors[u], feats, local_template(config, kind).kinds,
-                            0, mask, use_gat).out
+    out = np.empty((obs.shape[0], config.num_uavs, 2))
+    for u in range(config.num_uavs):
+        feats, node_kinds, mask = local_feature_batch(obs, nbrs, u, config)
+        out[:, u] = forward(actors[u], feats, node_kinds, 0, mask).out
     return out
 
 
 def critic_target_values(critic_target: Network, next_feats: np.ndarray,
                          kinds, ego: int, lam: np.ndarray, count: np.ndarray,
-                         terminal: np.ndarray, gamma: float,
-                         use_gat: bool = True) -> np.ndarray:
+                         terminal: np.ndarray, gamma: float) -> np.ndarray:
     """Bootstrapped targets y = lambda + gamma^n Q'(o', a'); terminal
     transitions keep y = lambda."""
-    q_next = forward(critic_target, next_feats, kinds, ego,
-                     use_gat=use_gat).out[:, 0]
+    q_next = forward(critic_target, next_feats, kinds, ego).out[:, 0]
     return lam + np.where(terminal, 0.0, (gamma ** count) * q_next)
 
 
 def critic_update(critic: Network, feats: np.ndarray, kinds, ego: int,
-                  y: np.ndarray, zeta: np.ndarray, lr: float,
-                  use_gat: bool = True):
+                  y: np.ndarray, zeta: np.ndarray, lr: float):
     """One descent step on mean(zeta * (y - Q)^2). Returns (loss, deltas)."""
     b = feats.shape[0]
-    tape = forward(critic, feats, kinds, ego, use_gat=use_gat)
+    tape = forward(critic, feats, kinds, ego)
     q = tape.out[:, 0]
     delta = y - q
     loss = float(np.mean(zeta * delta * delta))
@@ -289,14 +284,14 @@ def critic_update(critic: Network, feats: np.ndarray, kinds, ego: int,
 def actor_update(actor: Network, critic: Network,
                  actor_feats: np.ndarray, actor_kinds, actor_mask,
                  critic_feats: np.ndarray, critic_kinds, ego: int,
-                 action_slice: slice, lr: float, use_gat: bool = True) -> float:
+                 action_slice: slice, lr: float) -> float:
     """Ascend mean Q with the ego's action slot replaced by the current
     policy output; the critic is read-only here. Returns the objective."""
     b = actor_feats.shape[0]
-    atape = forward(actor, actor_feats, actor_kinds, 0, actor_mask, use_gat)
+    atape = forward(actor, actor_feats, actor_kinds, 0, actor_mask)
     subbed = critic_feats.copy()
     subbed[:, ego, action_slice] = atape.out
-    ctape = forward(critic, subbed, critic_kinds, ego, use_gat=use_gat)
+    ctape = forward(critic, subbed, critic_kinds, ego)
     objective = float(np.mean(ctape.out[:, 0]))
     _, dfeats = backward(critic, ctape, np.full((b, 1), -1.0 / b))
     da = dfeats[:, ego, action_slice]
@@ -316,8 +311,7 @@ class Trainer:
         self.wc = world_config
         self.tc = train_config
         self.seed = seed
-        self.kinds = [MUAV] * world_config.num_muavs + [CUAV] * world_config.num_cuavs
-        self.num_agents = len(self.kinds)
+        self.num_agents = world_config.num_uavs
         if world_config.num_muavs < 1 or world_config.num_cuavs < 1:
             raise ConfigError("training needs at least one MUAV and one CUAV "
                               "(the episode report metrics are undefined otherwise)")
@@ -328,19 +322,12 @@ class Trainer:
         self.noise_rng = np.random.default_rng(noise_ss)
         self.sample_rng = np.random.default_rng(sample_ss)
 
-        a_spec = actor_spec(world_config)
-        c_spec = critic_spec(world_config)
-        if train_config.share_actor_per_type:
-            shared = {}
-            for kind in dict.fromkeys(self.kinds):
-                shared[kind] = Network(a_spec, init_rng)
-            self.actors = [shared[kind] for kind in self.kinds]
-        else:
-            self.actors = [Network(a_spec, init_rng) for _ in self.kinds]
-        clones: dict[int, Network] = {}
-        self.actor_targets = [clones.setdefault(id(a), a.clone()) for a in self.actors]
+        a_spec = actor_spec(world_config, train_config.use_gat)
+        c_spec = critic_spec(world_config, train_config.use_gat)
+        self.actors = [Network(a_spec, init_rng) for _ in range(self.num_agents)]
+        self.actor_targets = [a.clone() for a in self.actors]
         self.critics = {kind: Network(c_spec, init_rng)
-                        for kind in dict.fromkeys(self.kinds)}
+                        for kind in dict.fromkeys(world_config.kinds)}
         self.critic_targets = {k: v.clone() for k, v in self.critics.items()}
 
         self.obs_width = max_obs_len(world_config)
@@ -357,8 +344,8 @@ class Trainer:
         """Exploring actions for one timestep: the actors' batch-1 output for
         the joint observation (U, W) and neighbor rows (U, 2), plus
         Gaussian noise, clipped to [-1, 1]."""
-        actions = actor_actions(self.actors, self.kinds, self.wc, obs_rows[None],
-                                nbr_rows[None], self.tc.use_gat)[0]
+        actions = actor_actions(self.actors, self.wc, obs_rows[None],
+                                nbr_rows[None])[0]
         for u in range(self.num_agents):
             actions[u] += exploration_noise(self.noise_rng, self.sigma)
         return np.clip(actions, -1.0, 1.0)
@@ -382,54 +369,47 @@ class Trainer:
         b = len(idxs)
         oks, js, count, boot, terminal = self.store.chain(idxs, tc.n_step)
 
+        kinds = self.wc.kinds
         next_obs = self.store.next_obs[boot]
-        a_prime = actor_actions(self.actor_targets, self.kinds, self.wc, next_obs,
-                                self.store.next_nbrs[boot], tc.use_gat)
-        next_gfeats = global_feature_batch(next_obs, a_prime, self.kinds, self.wc)
+        a_prime = actor_actions(self.actor_targets, self.wc, next_obs,
+                                self.store.next_nbrs[boot])
+        next_gfeats = global_feature_batch(next_obs, a_prime, self.wc)
 
         cur_obs = self.store.obs[idxs]
         cur_nbrs = self.store.nbrs[idxs]
         cur_gfeats = global_feature_batch(cur_obs, self.store.actions[idxs],
-                                          self.kinds, self.wc)
+                                          self.wc)
 
         discounts = np.power(tc.gamma, np.arange(tc.n_step))
         losses = []
         deltas = np.zeros((self.num_agents, b))
-        for u in range(self.num_agents):
-            kind = self.kinds[u]
+        for u, kind in enumerate(kinds):
             rew = self.store.rewards[js, u]                     # (n, B)
             lam = np.sum(np.where(oks, rew, 0.0) * discounts[:, None], axis=0)
             y = critic_target_values(self.critic_targets[kind], next_gfeats,
-                                     self.kinds, u, lam, count, terminal,
-                                     tc.gamma, tc.use_gat)
+                                     kinds, u, lam, count, terminal, tc.gamma)
             zeta = self.trees[u].leaves(idxs) / self.trees[u].total
             loss, delta = critic_update(self.critics[kind], cur_gfeats,
-                                        self.kinds, u, y, zeta, tc.lr_critic,
-                                        tc.use_gat)
+                                        kinds, u, y, zeta, tc.lr_critic)
             losses.append(loss)
             deltas[u] = delta
 
-            afeats, amask = local_feature_batch(cur_obs, cur_nbrs, u,
-                                                self.kinds, self.wc)
-            actor_update(self.actors[u], self.critics[kind], afeats,
-                         local_template(self.wc, kind).kinds, amask,
-                         cur_gfeats, self.kinds, u, self.action_slice,
-                         tc.lr_actor, tc.use_gat)
+            afeats, akinds, amask = local_feature_batch(cur_obs, cur_nbrs, u,
+                                                        self.wc)
+            actor_update(self.actors[u], self.critics[kind], afeats, akinds,
+                         amask, cur_gfeats, kinds, u, self.action_slice,
+                         tc.lr_actor)
 
         if episode % tc.f_soft == 0:
             self.sync_targets()
 
-        for u in range(self.num_agents):
-            vals = (np.abs(deltas[u]) + PRIORITY_EPS) ** tc.per_alpha
-            self.trees[u].set_many(idxs, vals)
+        for tree, vals in zip(self.trees, priorities(deltas, tc.per_alpha)):
+            tree.set_many(idxs, vals)
         return float(np.mean(losses))
 
     def sync_targets(self) -> None:
-        done: set[int] = set()
         for a, at in zip(self.actors, self.actor_targets):
-            if id(a) not in done:
-                soft_update(at, a, self.tc.tau)
-                done.add(id(a))
+            soft_update(at, a, self.tc.tau)
         for kind, c in self.critics.items():
             soft_update(self.critic_targets[kind], c, self.tc.tau)
 
@@ -524,12 +504,13 @@ def train(world_config: WorldConfig, train_config: TrainConfig, seed: int,
     return trainer.run(out_dir)
 
 
-def load_actor_networks(path, world_config: WorldConfig) -> list[Network]:
+def load_actor_networks(path, world_config: WorldConfig,
+                        use_gat: bool = True) -> list[Network]:
     """Actor networks for every agent from a checkpoint, shape-validated
     against the world configuration."""
     from .neural import load_checkpoint
     tensors = load_checkpoint(path)
-    spec = actor_spec(world_config)
+    spec = actor_spec(world_config, use_gat)
     n = world_config.num_uavs
     missing = [f"actor_{i}" for i in range(n)
                if f"actor_{i}/head_w2" not in tensors]

@@ -70,6 +70,11 @@ class WorldConfig:
         return self.num_muavs + self.num_cuavs
 
     @property
+    def kinds(self) -> list[str]:
+        """The fleet order every agent index follows: MUAVs, then CUAVs."""
+        return [MUAV] * self.num_muavs + [CUAV] * self.num_cuavs
+
+    @property
     def fov(self) -> float:
         """Effective field-of-view range; the arena diagonal under global_view."""
         if self.global_view:
@@ -193,8 +198,7 @@ def generate_scenario(config: WorldConfig, seed: int) -> WorldState:
 
     r = config.uav_radius
     uavs = []
-    kinds = [MUAV] * config.num_muavs + [CUAV] * config.num_cuavs
-    for kind in kinds:
+    for kind in config.kinds:
         pos = rng.uniform((r, r), (w - r, h - r), size=2)
         uavs.append(UavState(kind=kind, pos=pos, velocity=np.zeros(2),
                              er0=config.initial_energy))

@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from hgam.env import cast_lasers, observe, uav_distances
-from hgam.world import CUAV, MUAV, UavState, WorldConfig, WorldState
+from hgam.neural import forward
+from hgam.world import UavState, WorldConfig, WorldState
 
 
 def build_state(config: WorldConfig, uav_pos, poi_pos=(), poi_m0=(),
                 obstacles=()) -> WorldState:
     """Hand-placed world: uav_pos must list MUAV positions first (matching
     config counts); obstacles are (x, y, radius) triples."""
-    kinds = [MUAV] * config.num_muavs + [CUAV] * config.num_cuavs
+    kinds = config.kinds
     assert len(uav_pos) == len(kinds)
     uavs = [UavState(kind=k, pos=np.asarray(p, dtype=float),
                      velocity=np.zeros(2), er0=config.initial_energy)
@@ -33,6 +34,11 @@ def observations(state: WorldState) -> list[np.ndarray]:
     """Every agent's unpadded observation of `state` as it is now."""
     lasers, dists = cast_lasers(state), uav_distances(state)
     return [observe(state, u, lasers, dists) for u in range(len(state.uavs))]
+
+
+def forward_graph(net, graph):
+    """Batch-1 forward pass over one reference `HeteroGraph`."""
+    return forward(net, graph.features[None], graph.node_kinds, graph.ego)
 
 
 def branch_signature(tape):

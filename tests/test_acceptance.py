@@ -17,17 +17,18 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from conftest import branch_signature, build_state, kink_free_fd, observations
+from conftest import (branch_signature, build_state, forward_graph,
+                      kink_free_fd, observations)
 from hgam.cli import main as cli_main
 from hgam.env import step
 from hgam.harness import ActorPolicy, GreedyPolicy, RandomPolicy, evaluate, \
     greedy_policy
 from hgam.hetgraph import build_global_graph, build_local_graph
 from hgam.metrics import compute_all, jain_index
-from hgam.neural import Network, backward, forward, forward_graph
+from hgam.neural import Network, backward, forward
 from hgam.rollout import EpisodeTracker
 from hgam.training import (SumTree, TrainConfig, Trainer, actor_spec,
-                           critic_spec, nstep_return, per_update)
+                           critic_spec, nstep_return, priorities)
 from hgam.world import WorldConfig, generate_scenario
 
 MINI_WORLD = dict(area_width=8.0, area_height=8.0, num_muavs=1, num_cuavs=1,
@@ -224,8 +225,7 @@ def test_criterion_3_metrics():
 def test_criterion_4_per():
     deltas = np.arange(1, 65, dtype=float)
     tree = SumTree(64)
-    for i, d in enumerate(deltas):
-        per_update(tree, i, d, alpha=0.6, epsilon_p=0.0)
+    tree.set_many(np.arange(64), priorities(deltas, alpha=0.6, eps=0.0))
     probs = deltas ** 0.6 / np.sum(deltas ** 0.6)
     rng = np.random.default_rng(99)
     counts = np.zeros(64)

@@ -10,6 +10,8 @@ from hgam.env import step
 from hgam.errors import ConfigError
 from hgam.harness import (ActorPolicy, GreedyPolicy, RandomPolicy, evaluate,
                           greedy_policy, make_policy, random_policy)
+from hgam.hetgraph import local_feature_batch
+from hgam.neural import forward
 from hgam.rollout import joint_observation
 from hgam.training import TrainConfig, Trainer, train
 from hgam.world import WorldConfig, generate_scenario
@@ -103,8 +105,15 @@ def test_checkpoint_policy_evaluation_roundtrip(tmp_path, mini_config):
     r1 = evaluate(pol, mini_config, 2, seed=1)
     r2 = evaluate(make_policy("hgam", mini_config, ckpt), mini_config, 2, seed=1)
     assert r1 == r2
-    nogat = evaluate(make_policy("hgam_no_gat", mini_config, ckpt),
-                     mini_config, 2, seed=1)
+    # the ablation switch comes from the policy kind, not the checkpoint
+    no_gat = make_policy("hgam_no_gat", mini_config, ckpt)
+    obs, nbrs = joint_observation(generate_scenario(mini_config, 0))
+    for u, actor in enumerate(no_gat.actors):
+        assert not actor.spec.use_gat
+        feats, node_kinds, mask = local_feature_batch(obs[None], nbrs[None],
+                                                      u, mini_config)
+        assert np.all(forward(actor, feats, node_kinds, 0, mask).g == 0.0)
+    nogat = evaluate(no_gat, mini_config, 2, seed=1)
     assert nogat["policy"] == "hgam_no_gat"
     assert nogat != r1  # ablation actually changes behaviour
 
@@ -131,7 +140,12 @@ def test_noise_free_trainer_actions_match_actor_policy(use_gat):
     assert wc.num_muavs == 2
     trainer = Trainer(wc, TrainConfig(use_gat=use_gat, buffer_capacity=64), seed=4)
     trainer.sigma = 0.0
-    policy = ActorPolicy(trainer.actors, wc, use_gat)
+    # every actor, critic and target network carries the switch
+    nets = trainer.network_map().values()
+    assert len(nets) == 2 * (wc.num_uavs + 2)
+    assert all(net.spec.use_gat is use_gat for net in nets)
+    policy = ActorPolicy(trainer.actors, wc)
+    assert policy.name == ("hgam" if use_gat else "hgam_no_gat")
     compared = 0
     for scenario in range(4):
         state = generate_scenario(wc, scenario)

@@ -104,10 +104,10 @@ def test_global_feature_width_and_action_slot():
 
 def test_templates_follow_fleet_composition():
     cfg = WorldConfig(num_muavs=2, num_cuavs=1)
-    assert local_template(cfg, MUAV).kinds == (MUAV, MUAV, CUAV)
-    assert local_template(cfg, CUAV).kinds == (CUAV, MUAV)
+    assert local_template(cfg, MUAV) == (MUAV, MUAV, CUAV)
+    assert local_template(cfg, CUAV) == (CUAV, MUAV)
     solo = WorldConfig(num_muavs=1, num_cuavs=0)
-    assert local_template(solo, MUAV).kinds == (MUAV,)
+    assert local_template(solo, MUAV) == (MUAV,)
 
 
 def test_batched_features_match_single_graphs():
@@ -122,19 +122,19 @@ def test_batched_features_match_single_graphs():
     for u in range(3):
         mn, cn = local_neighbors(s, u, uav_distances(s))
         nbrs[0, u] = (-1 if mn is None else mn, -1 if cn is None else cn)
-    kinds = [u.kind for u in s.uavs]
 
     for u in range(3):
         single = build_local_graph(s, u, obs)
-        feats, mask = local_feature_batch(obs_rows, nbrs, u, kinds, cfg)
+        feats, node_kinds, mask = local_feature_batch(obs_rows, nbrs, u, cfg)
         present = [0] + [1 + i for i in range(mask.shape[1]) if mask[0, i]]
+        assert [node_kinds[i] for i in present] == single.node_kinds
         assert np.array_equal(feats[0][np.array(present)[1:]],
                               single.features[1:])
         assert np.array_equal(feats[0, 0], single.features[0])
 
     actions = [np.array([0.5, 0.5]), np.zeros(2), np.array([-1.0, 0.2])]
     views = build_global_graph(s, obs, actions)
-    gfeats = global_feature_batch(obs_rows, np.asarray(actions)[None], kinds, cfg)
+    gfeats = global_feature_batch(obs_rows, np.asarray(actions)[None], cfg)
     assert np.array_equal(gfeats[0], views[0].features)
 
 

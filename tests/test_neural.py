@@ -1,16 +1,16 @@
 import math
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import branch_signature, kink_free_fd
+from conftest import branch_signature, forward_graph, kink_free_fd
 from hgam.errors import CheckpointError
 from hgam.hetgraph import HeteroGraph
 from hgam.neural import (LINEAR, TANH, NetSpec, Network,
-                         attention_coefficients, actor_forward, adam_step,
-                         backward, critic_forward, encode, forward,
-                         forward_graph, gat_aggregate, load_checkpoint,
+                         attention_coefficients, adam_step, backward, encode,
+                         forward, gat_aggregate, load_checkpoint,
                          network_from_tensors, network_tensors,
                          save_checkpoint)
 from hgam.world import CUAV, MUAV
@@ -129,7 +129,7 @@ def test_gat_aggregate_identical_neighbors_convexity():
 
 def test_actor_zero_params_outputs_zero_action():
     net = Network(SMALL_ACTOR, rng=None)
-    a = actor_forward(net, make_graph(SMALL_ACTOR, (MUAV, MUAV, CUAV)))
+    a = forward_graph(net, make_graph(SMALL_ACTOR, (MUAV, MUAV, CUAV))).out[0]
     assert a == pytest.approx([0.0, 0.0])
 
 
@@ -138,7 +138,7 @@ def test_actor_outputs_in_open_interval():
     for _ in range(50):
         net = Network(SMALL_ACTOR, rng)
         g = make_graph(SMALL_ACTOR, (MUAV, CUAV), rng=rng)
-        a = actor_forward(net, g)
+        a = forward_graph(net, g).out[0]
         assert np.all(np.abs(a) < 1.0)
 
 
@@ -153,7 +153,7 @@ def test_actor_single_node_uses_zero_aggregate():
 def test_critic_zero_params_outputs_zero():
     net = Network(SMALL_CRITIC, rng=None)
     g = make_graph(SMALL_CRITIC, (MUAV, MUAV, CUAV))
-    assert critic_forward(net, g) == 0.0
+    assert forward_graph(net, g).out[0, 0] == 0.0
 
 
 def test_critic_neighbor_order_invariance():
@@ -165,8 +165,8 @@ def test_critic_neighbor_order_invariance():
     swapped = feats[[0, 2, 1]]
     g2 = HeteroGraph([0, 2, 1], [MUAV, CUAV, MUAV], swapped, 0,
                      [(1, 0), (2, 0)])
-    assert critic_forward(net, g1) == pytest.approx(critic_forward(net, g2),
-                                                    rel=1e-12)
+    assert forward_graph(net, g1).out[0, 0] == pytest.approx(
+        forward_graph(net, g2).out[0, 0], rel=1e-12)
 
 
 def test_critic_duplicate_identical_neighbor_keeps_aggregate():
@@ -186,9 +186,9 @@ def test_critic_duplicate_identical_neighbor_keeps_aggregate():
 
 def test_no_gat_flag_zeroes_aggregate():
     rng = np.random.default_rng(10)
-    net = Network(SMALL_CRITIC, rng)
+    net = Network(replace(SMALL_CRITIC, use_gat=False), rng)
     g = make_graph(SMALL_CRITIC, (MUAV, MUAV, CUAV), rng=rng)
-    tape = forward_graph(net, g, use_gat=False)
+    tape = forward_graph(net, g)
     assert np.all(tape.g == 0.0)
     grads, _ = backward(net, tape, np.ones((1, 1)))
     assert "gat_w" not in grads
@@ -353,3 +353,16 @@ def test_checkpoint_missing_network(tmp_path):
     save_checkpoint(path, network_tensors("a", net))
     with pytest.raises(CheckpointError, match="missing"):
         network_from_tensors("b", SMALL_ACTOR, load_checkpoint(path))
+
+
+def test_failed_save_keeps_previous_checkpoint(tmp_path):
+    net = Network(SMALL_ACTOR, np.random.default_rng(3))
+    path = tmp_path / "net.hgam"
+    save_checkpoint(path, network_tensors("a", net))
+    before = path.read_bytes()
+    # the rank-3 tensor sorts last, so every other tensor is written first
+    bad = {**network_tensors("b", net), "z/rank3": np.zeros((2, 2, 2))}
+    with pytest.raises(CheckpointError, match="rank 3"):
+        save_checkpoint(path, bad)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["net.hgam"]

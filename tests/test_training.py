@@ -14,7 +14,7 @@ from hgam.training import (PRIORITY_EPS, ReplayStore, SumTree, TrainConfig,
                            Trainer, Transition, actor_spec, actor_update,
                            critic_spec, critic_target_values, critic_update,
                            exploration_noise, load_train_config, nstep_return,
-                           per_update, soft_update, train)
+                           priorities, soft_update, train)
 from hgam.world import CUAV, MUAV, WorldConfig
 
 
@@ -92,8 +92,7 @@ def test_sumtree_sample_distribution_alpha_one():
 def test_per_probabilities_alpha_exponent():
     t = SumTree(4)
     deltas = np.array([1.0, 2.0, 3.0])
-    for i, d in enumerate(deltas):
-        per_update(t, i, d, alpha=0.6, epsilon_p=0.0)
+    t.set_many([0, 1, 2], priorities(deltas, alpha=0.6, eps=0.0))
     expected = deltas ** 0.6 / np.sum(deltas ** 0.6)
     # frozen from a 40-digit evaluation of i^0.6 / sum(j^0.6)
     assert expected == pytest.approx(
@@ -104,7 +103,7 @@ def test_per_probabilities_alpha_exponent():
 
 def test_per_update_floor_never_starves():
     t = SumTree(4)
-    per_update(t, 0, 0.0, alpha=0.6)
+    t.set(0, priorities(0.0, alpha=0.6))
     assert t.leaves([0])[0] == pytest.approx(PRIORITY_EPS ** 0.6)
     assert t.leaves([0])[0] > 0.0
 
@@ -112,7 +111,7 @@ def test_per_update_floor_never_starves():
 def test_per_update_out_of_range():
     t = SumTree(4)
     with pytest.raises(ContractError):
-        per_update(t, 9, 1.0, alpha=0.6)
+        t.set(9, priorities(1.0, alpha=0.6))
 
 
 def test_sample_empty_tree_raises():
@@ -546,20 +545,11 @@ def test_train_unwritable_checkpoint_fails_fast(tmp_path):
         train(wc, tc, seed=0, out_dir=target)
 
 
-def test_shared_actor_per_type():
-    wc, tc = quick_configs(share_actor_per_type=True)
-    wc2 = WorldConfig(**{**wc.__dict__, "num_muavs": 2})
-    trainer = Trainer(wc2, tc, seed=0)
-    assert trainer.actors[0] is trainer.actors[1]
-    assert trainer.actors[0] is not trainer.actors[2]
-    assert trainer.actor_targets[0] is trainer.actor_targets[1]
-
-
 def test_critic_shared_per_type_actors_independent():
     wc, tc = quick_configs()
     wc2 = WorldConfig(**{**wc.__dict__, "num_muavs": 2})
     trainer = Trainer(wc2, tc, seed=0)
-    # one critic per agent type, independent actors by default
+    # one critic per agent type, one actor per agent
     assert set(trainer.critics) == {MUAV, CUAV}
     assert trainer.actors[0] is not trainer.actors[1]
     assert len({id(n) for n in trainer.critics.values()}) == 2

@@ -19,6 +19,14 @@ def test_default_scenario_counts():
     assert state.t == 0 and not state.done
 
 
+@pytest.mark.parametrize("muavs,cuavs", [(1, 1), (2, 1), (3, 2)])
+def test_kinds_follow_scenario_fleet_order(muavs, cuavs):
+    cfg = WorldConfig(num_muavs=muavs, num_cuavs=cuavs)
+    for seed in range(3):
+        assert cfg.kinds == [u.kind for u in generate_scenario(cfg, seed).uavs]
+    assert cfg.kinds == [MUAV] * muavs + [CUAV] * cuavs
+
+
 def test_scenario_initial_energies():
     state = generate_scenario(WorldConfig(), seed=3)
     for u in state.uavs:
