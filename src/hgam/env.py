@@ -73,6 +73,7 @@ class StepEvents:
     # sensing of the successor state, for its observations
     lasers: np.ndarray                             # (U, K) cast_lasers
     uav_dists: np.ndarray                          # (U, U) uav_distances
+    poi_dists: np.ndarray                          # (M, P) poi_distances
 
 
 @lru_cache(maxsize=8)
@@ -115,6 +116,12 @@ def uav_distances(state: WorldState) -> np.ndarray:
     """(U, U) matrix whose [i, j] entry is |pos_j - pos_i|."""
     pos = state.positions()
     return norms(pos[None, :, :] - pos[:, None, :])
+
+
+def poi_distances(state: WorldState) -> np.ndarray:
+    """(M, P) matrix whose [m, p] entry is |poi_p - pos_m| for MUAV m."""
+    pos = state.positions()[: state.num_muavs]
+    return np.linalg.norm(state.poi_xy[None, :, :] - pos[:, None, :], axis=2)
 
 
 def _collect_from_poi(state: WorldState, p: int, rate: float) -> float:
@@ -163,6 +170,7 @@ def step(state: WorldState, actions) -> tuple[WorldState, StepEvents]:
     # positions are final from here on: sense the successor state once
     lasers = cast_lasers(state)
     uav_dists = uav_distances(state)
+    poi_dists = poi_distances(state)
     min_laser = lasers.min(axis=1)
 
     # 3. MUAV data collection, sequential in MUAV index order
@@ -171,9 +179,7 @@ def step(state: WorldState, actions) -> tuple[WorldState, StepEvents]:
     breakdown: list[tuple[int, int, float]] = []
     discovered: list[np.ndarray] = []
     for m in range(m_count):
-        uav = state.uavs[m]
-        dists = np.linalg.norm(state.poi_xy - uav.pos, axis=1)
-        in_range = dists <= cfg.sense_radius
+        in_range = poi_dists[m] <= cfg.sense_radius
         live = state.poi_rem > 0.0
         new = in_range & live & ~state.seen_pois[m]
         discovered.append(np.nonzero(new)[0])
@@ -237,6 +243,7 @@ def step(state: WorldState, actions) -> tuple[WorldState, StepEvents]:
         cause=state.done_reason,
         lasers=lasers,
         uav_dists=uav_dists,
+        poi_dists=poi_dists,
     )
     return state, events
 
@@ -299,10 +306,10 @@ def _self_block(state: WorldState, u: int) -> list[float]:
 
 
 def observe(state: WorldState, u: int, lasers: np.ndarray,
-            uav_dists: np.ndarray) -> np.ndarray:
+            uav_dists: np.ndarray, poi_dists: np.ndarray) -> np.ndarray:
     """Assemble the fixed-layout partial observation for UAV u from the
-    state's fleet sensing: `lasers` from `cast_lasers` and `uav_dists` from
-    `uav_distances`."""
+    state's fleet sensing: `lasers` from `cast_lasers`, `uav_dists` from
+    `uav_distances` and `poi_dists` from `poi_distances`."""
     cfg = state.config
     uav = state.uavs[u]
     dist_row = uav_dists[u].tolist()
@@ -310,17 +317,16 @@ def observe(state: WorldState, u: int, lasers: np.ndarray,
     parts += _nearest_uav_blocks(state, u, dist_row)
 
     if uav.kind == MUAV:
-        dists = np.linalg.norm(state.poi_xy - uav.pos, axis=1)
+        dists = poi_dists[u]
         visible = np.nonzero((state.poi_rem > 0.0) & (dists <= cfg.fov))[0]
-        order = sorted(visible, key=lambda p: (dists[p], p))[:NUM_POI_BLOCKS]
-        for p in order:
-            d = dists[p]
-            if d > 0:
-                ux, uy = (state.poi_xy[p] - uav.pos) / d
-            else:
-                ux, uy = 0.0, 0.0
-            parts += [float(ux), float(uy), float(state.poi_rem[p])]
-        parts += [0.0, 0.0, 0.0] * (NUM_POI_BLOCKS - len(order))
+        # `visible` ascends, so a stable sort breaks distance ties by index
+        near = visible[np.argsort(dists[visible], kind="stable")[:NUM_POI_BLOCKS]]
+        d = dists[near][:, None]
+        block = np.zeros((NUM_POI_BLOCKS, 3))
+        np.divide(state.poi_xy[near] - uav.pos, d, out=block[: len(near), :2],
+                  where=d > 0)
+        block[: len(near), 2] = state.poi_rem[near]
+        parts += block.ravel().tolist()
         parts += _self_block(state, u)
         parts += [uav.er / uav.er0, uav.ec / cfg.e_max, uav.ed / uav.er0]
         parts += [1.0, 0.0]

@@ -139,19 +139,32 @@ def _kind_runs(kinds: tuple) -> tuple:
     return tuple(runs)
 
 
+@lru_cache(maxsize=64)
+def _nbr_idx(n: int, ego: int) -> np.ndarray:
+    """Node indices of the ego's neighbours (every node but the ego); the
+    cached array is shared, so it is read-only."""
+    idx = np.array([i for i in range(n) if i != ego], dtype=int)
+    idx.flags.writeable = False
+    return idx
+
+
 @dataclass
 class Tape:
     """Cached intermediates of one batched forward pass (slope arrays hold
-    the LeakyReLU derivatives, which double as the activation masks)."""
+    the LeakyReLU derivatives, which double as the activation masks).
+
+    The encoder entries are per kind run of `_kind_runs(kinds)`, each a 2-D
+    array over the run's (B * run length) node rows."""
 
     feats: np.ndarray            # (B, n, F)
     kinds: tuple
     ego: int
     nbr_idx: np.ndarray          # node indices of the neighbors
     mask: np.ndarray | None      # (B, n-1) neighbor presence
-    s1: np.ndarray               # (B, n, E) first encoder layer slopes
-    a1: np.ndarray
-    s2: np.ndarray
+    x: list                      # per run: encoder input rows
+    s1: list                     # per run: first encoder layer slopes
+    a1: list                     # per run: first encoder layer activations
+    s2: list                     # per run: second encoder layer slopes
     h: np.ndarray                # (B, n, E) encoder outputs
     wh: np.ndarray | None        # (B, n, E)
     se: np.ndarray | None        # (B, n-1) attention logit slopes
@@ -176,31 +189,34 @@ def forward(net: Network, feats: np.ndarray, kinds, ego: int,
     e_dim = spec.embed_dim
     kinds = tuple(kinds)
 
-    s1 = np.empty((b, n, e_dim))
-    a1 = np.empty((b, n, e_dim))
-    s2 = np.empty((b, n, e_dim))
+    xs, s1, a1, s2 = [], [], [], []
     h = np.empty((b, n, e_dim))
     for kind, lo, hi in _kind_runs(kinds):
         x = feats[:, lo:hi, :].reshape(-1, in_w)
-        z1k = x @ p[f"enc_{kind}_w1"].T + p[f"enc_{kind}_b1"]
-        s1k = _slope_mask(z1k, LRELU_HIDDEN)
-        a1k = z1k * s1k
-        z2k = a1k @ p[f"enc_{kind}_w2"].T + p[f"enc_{kind}_b2"]
-        s2k = _slope_mask(z2k, LRELU_HIDDEN)
+        z1 = x @ p[f"enc_{kind}_w1"].T
+        z1 += p[f"enc_{kind}_b1"]
+        s1k = _slope_mask(z1, LRELU_HIDDEN)
+        z1 *= s1k                                   # now the activation a1
+        z2 = z1 @ p[f"enc_{kind}_w2"].T
+        z2 += p[f"enc_{kind}_b2"]
+        s2k = _slope_mask(z2, LRELU_HIDDEN)
         shape = (b, hi - lo, e_dim)
-        s1[:, lo:hi] = s1k.reshape(shape)
-        a1[:, lo:hi] = a1k.reshape(shape)
-        s2[:, lo:hi] = s2k.reshape(shape)
-        h[:, lo:hi] = (z2k * s2k).reshape(shape)
+        np.multiply(z2.reshape(shape), s2k.reshape(shape), out=h[:, lo:hi])
+        xs.append(x)
+        s1.append(s1k)
+        a1.append(z1)
+        s2.append(s2k)
 
-    nbr_idx = np.array([i for i in range(n) if i != ego], dtype=int)
+    nbr_idx = _nbr_idx(n, ego)
     wh = se = alpha = None
     g = np.zeros((b, e_dim))
     if spec.use_gat and len(nbr_idx) > 0:
         wh = (h.reshape(-1, e_dim) @ p["gat_w"].T).reshape(b, n, e_dim)
         a_src = p["gat_a"][:e_dim]
         a_dst = p["gat_a"][e_dim:]
-        e_logits = wh[:, nbr_idx, :] @ a_src + (wh[:, ego, :] @ a_dst)[:, None]
+        wh_nbr = wh[:, nbr_idx, :]
+        e_logits = wh_nbr @ a_src
+        e_logits += (wh[:, ego, :] @ a_dst)[:, None]
         se = _slope_mask(e_logits, LRELU_ATTN)
         el = e_logits * se
         if mask is None:
@@ -213,23 +229,28 @@ def forward(net: Network, feats: np.ndarray, kinds, ego: int,
             ex = np.where(mask, np.exp(el - top), 0.0)
         denom = ex.sum(axis=1, keepdims=True)
         alpha = np.divide(ex, denom, out=np.zeros_like(ex), where=denom > 0)
-        g = np.einsum("bk,bke->be", alpha, wh[:, nbr_idx, :])
+        g = np.einsum("bk,bke->be", alpha, wh_nbr)
 
     x_head = np.concatenate([h[:, ego, :], g], axis=1)
-    z3 = x_head @ p["head_w1"].T + p["head_b1"]
+    z3 = x_head @ p["head_w1"].T
+    z3 += p["head_b1"]
     s3 = _slope_mask(z3, LRELU_HIDDEN)
-    a3 = z3 * s3
-    z4 = a3 @ p["head_w2"].T + p["head_b2"]
-    out = np.tanh(z4) if spec.out_activation == TANH else z4
+    z3 *= s3                                        # now the activation a3
+    out = z3 @ p["head_w2"].T
+    out += p["head_b2"]
+    if spec.out_activation == TANH:
+        np.tanh(out, out=out)
 
-    return Tape(feats, kinds, ego, nbr_idx, mask,
-                s1, a1, s2, h, wh, se, alpha, g, x_head, s3, a3, out)
+    return Tape(feats, kinds, ego, nbr_idx, mask, xs, s1, a1, s2, h,
+                wh, se, alpha, g, x_head, s3, z3, out)
 
 
-def backward(net: Network, tape: Tape, dout: np.ndarray):
+def backward(net: Network, tape: Tape, dout: np.ndarray,
+             input_grads: bool = True):
     """Exact gradients of sum(dout * out) w.r.t. parameters and inputs.
 
-    Returns (grads dict matching net.params, dfeats of shape (B, n, F)).
+    Returns (grads dict matching net.params, dfeats of shape (B, n, F)), or
+    (grads, None) with `input_grads` false.
     """
     spec = net.spec
     p = net.params
@@ -282,17 +303,19 @@ def backward(net: Network, tape: Tape, dout: np.ndarray):
         else:
             grads[key] = value
 
-    dfeats = np.empty_like(tape.feats)  # the kind runs cover every node
-    for kind, lo, hi in _kind_runs(tape.kinds):
-        dz2 = (dh[:, lo:hi, :] * tape.s2[:, lo:hi]).reshape(-1, e_dim)
-        _accum(f"enc_{kind}_w2", dz2.T @ tape.a1[:, lo:hi].reshape(-1, e_dim))
+    # no zeroing needed: the kind runs cover every node
+    dfeats = np.empty_like(tape.feats) if input_grads else None
+    for r, (kind, lo, hi) in enumerate(_kind_runs(tape.kinds)):
+        shape = (b, hi - lo, e_dim)
+        dz2 = (dh[:, lo:hi, :] * tape.s2[r].reshape(shape)).reshape(-1, e_dim)
+        _accum(f"enc_{kind}_w2", dz2.T @ tape.a1[r])
         _accum(f"enc_{kind}_b2", dz2.sum(axis=0))
-        da1 = dz2 @ p[f"enc_{kind}_w2"]
-        dz1 = da1 * tape.s1[:, lo:hi].reshape(-1, e_dim)
-        xk = tape.feats[:, lo:hi, :].reshape(-1, in_w)
-        _accum(f"enc_{kind}_w1", dz1.T @ xk)
+        dz1 = dz2 @ p[f"enc_{kind}_w2"]
+        dz1 *= tape.s1[r]
+        _accum(f"enc_{kind}_w1", dz1.T @ tape.x[r])
         _accum(f"enc_{kind}_b1", dz1.sum(axis=0))
-        dfeats[:, lo:hi, :] = (dz1 @ p[f"enc_{kind}_w1"]).reshape(b, hi - lo, in_w)
+        if input_grads:
+            dfeats[:, lo:hi, :] = (dz1 @ p[f"enc_{kind}_w1"]).reshape(b, hi - lo, in_w)
     return grads, dfeats
 
 

@@ -6,8 +6,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .env import (StepEvents, cast_lasers, max_obs_len, observe, step,
-                  uav_distances)
+from .env import (StepEvents, cast_lasers, max_obs_len, observe,
+                  poi_distances, step, uav_distances)
 from .hetgraph import local_neighbors
 from .metrics import EpisodeLog, compute_all
 from .reward import (DilemmaWindow, RewardBreakdown, cuav_reward,
@@ -26,13 +26,15 @@ def joint_observation(state: WorldState, events: StepEvents | None = None
     here."""
     if events is None:
         lasers, uav_dists = cast_lasers(state), uav_distances(state)
+        poi_dists = poi_distances(state)
     else:
         lasers, uav_dists = events.lasers, events.uav_dists
+        poi_dists = events.poi_dists
     n = len(state.uavs)
     obs = np.zeros((n, max_obs_len(state.config)))
     nbrs = np.full((n, 2), -1, dtype=np.int64)
     for u in range(n):
-        vec = observe(state, u, lasers, uav_dists)
+        vec = observe(state, u, lasers, uav_dists, poi_dists)
         obs[u, : len(vec)] = vec
         muav_nbr, cuav_nbr = local_neighbors(state, u, uav_dists)
         nbrs[u, 0] = -1 if muav_nbr is None else muav_nbr

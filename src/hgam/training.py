@@ -97,19 +97,45 @@ class SumTree:
         return self.sums[np.asarray(idxs, dtype=int) + self.capacity]
 
     def set_many(self, idxs, values) -> None:
-        nodes = np.asarray(idxs, dtype=int) + self.capacity
-        if np.any(nodes < self.capacity) or np.any(nodes >= 2 * self.capacity):
+        """Write leaf priorities (the last write wins for a repeated index)
+        and recompute every ancestor of the written leaves."""
+        cap = self.capacity
+        nodes = np.asarray(idxs, dtype=int) + cap
+        if nodes.size == 1:
+            node = int(nodes.flat[0])
+            if not cap <= node < 2 * cap:
+                raise ContractError("sum-tree index out of range")
+            self._set_one(node, float(np.asarray(values, dtype=float).flat[0]))
+            return
+        if np.any(nodes < cap) or np.any(nodes >= 2 * cap):
             raise ContractError("sum-tree index out of range")
         self.sums[nodes] = values
         self.maxes[nodes] = values
+        # parents of a sorted, unique level are sorted: dedupe by neighbours
         level = np.unique(nodes >> 1)
-        while True:
+        while level.size and level[0] > 0:
             left = level << 1
             self.sums[level] = self.sums[left] + self.sums[left + 1]
             self.maxes[level] = np.maximum(self.maxes[left], self.maxes[left + 1])
-            if level[0] == 1:
-                break
-            level = np.unique(level >> 1)
+            level = level >> 1
+            keep = np.empty(level.size, dtype=bool)
+            keep[0] = True
+            np.not_equal(level[1:], level[:-1], out=keep[1:])
+            level = level[keep]
+
+    def _set_one(self, node: int, value: float) -> None:
+        """One leaf's root path with scalar reads and writes (an insert per
+        environment step), doing the vector walk's arithmetic: the max picks
+        the right child on ties and propagates NaN, as np.maximum does."""
+        sums, maxes = memoryview(self.sums), memoryview(self.maxes)
+        sums[node] = maxes[node] = value
+        node >>= 1
+        while node:
+            left = node << 1
+            sums[node] = sums[left] + sums[left + 1]
+            a, b = maxes[left], maxes[left + 1]
+            maxes[node] = a if a > b or a != a else b
+            node >>= 1
 
     def set(self, idx: int, value: float) -> None:
         self.set_many([idx], [value])
@@ -276,7 +302,7 @@ def critic_update(critic: Network, feats: np.ndarray, kinds, ego: int,
     delta = y - q
     loss = float(np.mean(zeta * delta * delta))
     dq = (-2.0 / b) * zeta * delta
-    grads, _ = backward(critic, tape, dq[:, None])
+    grads, _ = backward(critic, tape, dq[:, None], input_grads=False)
     adam_step(critic, grads, lr)
     return loss, delta
 
@@ -295,7 +321,7 @@ def actor_update(actor: Network, critic: Network,
     objective = float(np.mean(ctape.out[:, 0]))
     _, dfeats = backward(critic, ctape, np.full((b, 1), -1.0 / b))
     da = dfeats[:, ego, action_slice]
-    agrads, _ = backward(actor, atape, da)
+    agrads, _ = backward(actor, atape, da, input_grads=False)
     adam_step(actor, agrads, lr)
     return objective
 

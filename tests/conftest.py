@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hgam.env import cast_lasers, observe, uav_distances
+from hgam.env import cast_lasers, observe, poi_distances, uav_distances
 from hgam.neural import forward
 from hgam.world import UavState, WorldConfig, WorldState
 
@@ -32,8 +32,8 @@ def build_state(config: WorldConfig, uav_pos, poi_pos=(), poi_m0=(),
 
 def observations(state: WorldState) -> list[np.ndarray]:
     """Every agent's unpadded observation of `state` as it is now."""
-    lasers, dists = cast_lasers(state), uav_distances(state)
-    return [observe(state, u, lasers, dists) for u in range(len(state.uavs))]
+    sensing = cast_lasers(state), uav_distances(state), poi_distances(state)
+    return [observe(state, u, *sensing) for u in range(len(state.uavs))]
 
 
 def forward_graph(net, graph):
@@ -44,7 +44,8 @@ def forward_graph(net, graph):
 def branch_signature(tape):
     """Which side of every LeakyReLU kink (encoder, attention logit, head)
     a forward tape took."""
-    return (tape.s1 > 0.5, tape.s2 > 0.5, tape.s3 > 0.5,
+    return (np.concatenate(tape.s1) > 0.5, np.concatenate(tape.s2) > 0.5,
+            tape.s3 > 0.5,
             None if tape.se is None else tape.se > 0.5)
 
 

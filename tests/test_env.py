@@ -6,8 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import build_state, observations
-from hgam.env import (_beam_dirs, apply_action, cast_lasers, cuav_obs_len,
-                      max_obs_len, muav_obs_len, step, uav_distances)
+from hgam.env import (NUM_POI_BLOCKS, NUM_UAV_BLOCKS, _beam_dirs,
+                      apply_action, cast_lasers, cuav_obs_len, max_obs_len,
+                      muav_obs_len, observe, step, uav_distances)
 from hgam.errors import ContractError
 from hgam.world import WorldConfig, generate_scenario
 
@@ -326,6 +327,70 @@ def test_observation_depleted_pois_hidden():
     obs = observations(s)[0]
     start = cfg.num_lasers + 8
     assert np.all(obs[start: start + 15] == 0.0)
+
+
+def _poi_block_reference(state, m):
+    """MUAV m's PoI blocks one PoI at a time: visible PoIs ordered by
+    (distance, index), each unit vector divided on its own."""
+    uav = state.uavs[m]
+    dists = np.linalg.norm(state.poi_xy - uav.pos, axis=1)
+    visible = np.nonzero((state.poi_rem > 0.0) & (dists <= state.config.fov))[0]
+    order = sorted(visible, key=lambda p: (dists[p], p))[:NUM_POI_BLOCKS]
+    out = []
+    for p in order:
+        d = dists[p]
+        ux, uy = (state.poi_xy[p] - uav.pos) / d if d > 0 else (0.0, 0.0)
+        out += [float(ux), float(uy), float(state.poi_rem[p])]
+    return np.array(out + [0.0, 0.0, 0.0] * (NUM_POI_BLOCKS - len(order)))
+
+
+def _tied_state():
+    cfg = WorldConfig(num_obstacles=0, num_pois=31)
+    step_x = 4.0 + cfg.step_length
+    # MUAV 0 sits on PoI 6 with 27 PoIs one unit away (repeated points on
+    # the four axis neighbours, more than a sort handles by insertion);
+    # MUAV 1 moves onto PoI 10 (see below)
+    pois = [(9.0, 8.0), (7.0, 8.0), (9.0, 8.0), (8.0, 9.0), (8.0, 7.0),
+            (7.0, 8.0), (8.0, 8.0), (9.0, 8.0), (4.0, 5.0), (4.0, 3.0),
+            (step_x, 4.0)] + [(8.0, 9.0), (8.0, 7.0)] * 10
+    return build_state(cfg, [(8.0, 8.0), (4.0, 4.0), (12.0, 12.0)],
+                       poi_pos=pois, poi_m0=np.linspace(0.5, 1.5, 31))
+
+
+def test_observation_reads_step_poi_distances():
+    # observations built from the step's (M, P) PoI distances equal fresh
+    # ones bit for bit, and so does the PoI block against a per-PoI loop
+    start = WorldConfig().num_lasers + 4 * NUM_UAV_BLOCKS
+    rng = np.random.default_rng(3)
+    states = [_tied_state()] + [generate_scenario(WorldConfig(), seed)
+                                for seed in range(4)]
+    for s in states:
+        first = True
+        for _ in range(30):
+            if first:  # the tied state's MUAV 1 lands exactly on PoI 10
+                acts = [np.zeros(2), np.array([1.0, 0.0]), np.zeros(2)]
+            else:
+                acts = list(rng.uniform(-1, 1, (3, 2)))
+            first = False
+            _, ev = step(s, acts)
+            assert ev.poi_dists.shape == (s.num_muavs, len(s.poi_xy))
+            fresh = observations(s)
+            for u in range(len(s.uavs)):
+                got = observe(s, u, ev.lasers, ev.uav_dists, ev.poi_dists)
+                assert got.tobytes() == fresh[u].tobytes()
+            for m, uav in enumerate(s.muavs()):
+                want = np.linalg.norm(s.poi_xy - uav.pos, axis=1)
+                assert ev.poi_dists[m].tobytes() == want.tobytes()
+                block = fresh[m][start: start + 3 * NUM_POI_BLOCKS]
+                assert block.tobytes() == _poi_block_reference(s, m).tobytes()
+            if s.done:
+                break
+    tied = _tied_state()
+    step(tied, [np.zeros(2), np.array([1.0, 0.0]), np.zeros(2)])
+    assert np.array_equal(tied.uavs[1].pos, tied.poi_xy[10])
+    blocks = observations(tied)[0][start: start + 15].reshape(5, 3)
+    assert blocks[0].tolist() == [0.0, 0.0, tied.poi_rem[6]]   # under MUAV 0
+    assert blocks[1:, 2].tolist() == tied.poi_rem[[0, 1, 2, 3]].tolist()
 
 
 def test_cuav_energy_table():

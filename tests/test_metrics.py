@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hgam.errors import ContractError, UndefinedMetricError
@@ -57,6 +57,12 @@ def test_jain_rejects_negative_and_empty():
 @example([3.41e-159, 3.41e-159], 0.5)  # squares underflow to subnormals
 def test_jain_scale_invariant_and_bounded(xs, scale):
     x = np.asarray(xs)
+    # scaling a subnormal, or into one, loses digits (5e-324 * 0.5 == 0):
+    # there the index of the scaled values differs and no implementation
+    # can be scale invariant
+    nonzero = x[x != 0.0]
+    tiny = np.finfo(float).tiny
+    assume(np.all(nonzero >= tiny) and np.all(nonzero * scale >= tiny))
     j = jain_index(x)
     assert 1.0 / len(xs) - 1e-9 <= j <= 1.0 + 1e-9
     assert jain_index(x * scale) == pytest.approx(j, rel=1e-9)

@@ -271,6 +271,29 @@ def test_backward_matches_finite_differences(kinds, ego, out_spec):
     assert measured >= 0.9 * (measured + skipped)
 
 
+@pytest.mark.parametrize("kinds,ego,spec,masked", [
+    ((MUAV, MUAV, CUAV), 0, SMALL_ACTOR, True),
+    ((CUAV, MUAV, CUAV), 0, replace(SMALL_ACTOR, use_gat=False), False),
+    ((MUAV, MUAV, CUAV), 1, SMALL_CRITIC, False),
+    ((MUAV,), 0, SMALL_CRITIC, False),
+])
+def test_backward_without_input_grads_keeps_parameter_grads(kinds, ego, spec,
+                                                             masked):
+    rng = np.random.default_rng(zlib.crc32(repr((kinds, ego)).encode()))
+    net = Network(spec, rng)
+    b = 4
+    feats = rng.normal(0, 1, (b, len(kinds), spec.in_widths[kinds[0]]))
+    mask = rng.uniform(size=(b, len(kinds) - 1)) < 0.7 if masked else None
+    tape = forward(net, feats, kinds, ego, mask)
+    w = rng.normal(0, 1, (b, spec.out_dim))
+    grads, dfeats = backward(net, tape, w)
+    only, none = backward(net, tape, w, input_grads=False)
+    assert dfeats.shape == feats.shape and none is None
+    assert only.keys() == grads.keys()
+    for name, g in grads.items():
+        assert only[name].tobytes() == g.tobytes(), name
+
+
 # --- adam -------------------------------------------------------------------------
 
 def test_adam_zero_gradient_keeps_params():

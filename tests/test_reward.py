@@ -28,6 +28,7 @@ def make_events(num_muavs=2, num_uavs=3, collected=None, dist=None,
         cause=None,
         lasers=np.full((num_uavs, 16), 4.0),
         uav_dists=np.zeros((num_uavs, num_uavs)) if uav_dists is None else uav_dists,
+        poi_dists=np.zeros((num_muavs, 0)),
     )
 
 

@@ -112,6 +112,32 @@ def test_per_update_out_of_range():
     t = SumTree(4)
     with pytest.raises(ContractError):
         t.set(9, priorities(1.0, alpha=0.6))
+    # one index walks a scalar path, several a vector path: both check
+    for idxs in ([4], [-1], [0, 4], [-1, 2]):
+        with pytest.raises(ContractError):
+            t.set_many(idxs, np.ones(len(idxs)))
+    assert t.total == 0.0
+
+
+@pytest.mark.parametrize("capacity", [1, 2, 50])
+def test_sumtree_one_index_writes_match_many_index_writes(capacity):
+    # the same writes, one leaf per call (scalar root path) and several
+    # per call (vector levels), leave byte-identical trees, duplicates,
+    # zeros and NaN priorities included
+    rng = np.random.default_rng(capacity)
+    one, many = SumTree(capacity), SumTree(capacity)
+    specials = np.array([0.0, -0.0, np.nan, 1.0, 1.0])
+    for _ in range(400):
+        k = int(rng.integers(2, 7))
+        idx = rng.integers(0, capacity, size=k)
+        vals = rng.uniform(0.0, 5.0, size=k)
+        pick = rng.uniform(size=k) < 0.2
+        vals[pick] = rng.choice(specials, size=int(pick.sum()))
+        many.set_many(idx, vals)
+        for i, v in zip(idx, vals):
+            one.set(int(i), float(v))
+        assert one.sums.tobytes() == many.sums.tobytes()
+        assert one.maxes.tobytes() == many.maxes.tobytes()
 
 
 def test_sample_empty_tree_raises():
