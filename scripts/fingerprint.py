@@ -18,7 +18,12 @@ The runs (about 8 s in total, single-threaded BLAS):
   default-world checkpoint with `hgam`, whose observations carry the
   two-MUAV and CUAV blocks the mini world lacks;
 - `evaluate` with `greedy` and with `random` on the default world,
-  3 episodes each.
+  3 episodes each;
+- `train` (10 episodes) and `evaluate --policy greedy` (3 episodes from
+  seed 5) on a 3-MUAV/2-CUAV default world with `comm_radius: 6.0`,
+  written to a YAML next to the run directories. Greedy CUAVs both shadow
+  the lowest-battery MUAV; in the episode of seed 5 both charge the same
+  MUAV on 25 steps (seeds 0-2 never bring them to one MUAV).
 
 hgam is imported from this checkout's `src/`.
 """
@@ -35,6 +40,7 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 ROOT = Path(__file__).resolve().parent.parent
 MINI = str(ROOT / "configs" / "mini_world.yaml")
+FLEET_WORLD = "num_muavs: 3\nnum_cuavs: 2\ncomm_radius: 6.0\n"
 
 
 def runs(out: Path):
@@ -42,6 +48,8 @@ def runs(out: Path):
     checkpoints the training runs write."""
     ckpt = str(out / "train_mini" / "checkpoint.hgam")
     ckpt_default = str(out / "train_default" / "checkpoint.hgam")
+    fleet = out / "fleet_world.yaml"
+    fleet.write_text(FLEET_WORLD, encoding="utf-8")
     return [
         ("train_mini", ["train", "--config", MINI, "--seed", "3",
                         "--episodes", "54"]),
@@ -59,6 +67,11 @@ def runs(out: Path):
                                  "--episodes", "3"]),
         ("eval_default_random", ["evaluate", "--policy", "random",
                                  "--episodes", "3"]),
+        ("train_fleet", ["train", "--config", str(fleet), "--seed", "3",
+                         "--episodes", "10"]),
+        ("eval_fleet_greedy", ["evaluate", "--config", str(fleet),
+                               "--policy", "greedy", "--seed", "5",
+                               "--episodes", "3"]),
     ]
 
 

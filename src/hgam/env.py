@@ -7,7 +7,8 @@ bookkeeping identities hold in floating point:
 * every per-PoI take equals the float difference old - new of that PoI's
   remaining data (Sterbenz-safe for the default collect rate), so summed
   takes telescope to m0 - m_T exactly;
-* remaining UAV energy is derived (er0 + ec - ed), never a third counter.
+* remaining UAV energy is derived (initial_energy + ec - ed), never a
+  third counter.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ContractError
-from .world import MUAV, WorldConfig, WorldState, norms
+from .world import WorldConfig, WorldState, norms
 
 CAUSE_COLLISION = "collision"
 CAUSE_ENERGY = "energy"
@@ -27,12 +28,6 @@ CAUSE_MAX_STEPS = "max_steps"
 
 NUM_UAV_BLOCKS = 2   # nearest-other-UAV blocks in every observation
 NUM_POI_BLOCKS = 5   # nearest-PoI blocks in MUAV observations
-
-
-def clamp_action(actions) -> np.ndarray:
-    """The joint action as a (U, 2) array clipped to [-1, 1]."""
-    a = np.asarray(actions, dtype=float)
-    return np.clip(a.reshape(len(a), 2), -1.0, 1.0)
 
 
 def apply_action(pos: np.ndarray, a: np.ndarray, step_length: float) -> np.ndarray:
@@ -86,7 +81,7 @@ def cast_lasers(state: WorldState) -> np.ndarray:
     """(U, K) distances from each UAV center to the nearest obstacle surface
     or wall along each beam, capped at the field-of-view range."""
     cfg = state.config
-    pos = state.positions()[:, None, :]                            # (U,1,2)
+    pos = state.pos[:, None, :]                                    # (U,1,2)
     dirs = _beam_dirs(cfg.num_lasers)                              # (K,2)
     with np.errstate(divide="ignore", invalid="ignore"):
         # Walls of the [0,W]x[0,H] arena: the ray parameter to the x- and
@@ -114,13 +109,13 @@ def cast_lasers(state: WorldState) -> np.ndarray:
 
 def uav_distances(state: WorldState) -> np.ndarray:
     """(U, U) matrix whose [i, j] entry is |pos_j - pos_i|."""
-    pos = state.positions()
+    pos = state.pos
     return norms(pos[None, :, :] - pos[:, None, :])
 
 
 def poi_distances(state: WorldState) -> np.ndarray:
     """(M, P) matrix whose [m, p] entry is |poi_p - pos_m| for MUAV m."""
-    pos = state.positions()[: state.num_muavs]
+    pos = state.pos[: state.num_muavs]
     return np.linalg.norm(state.poi_xy[None, :, :] - pos[:, None, :], axis=2)
 
 
@@ -141,18 +136,20 @@ def step(state: WorldState, actions) -> tuple[WorldState, StepEvents]:
     if state.done:
         raise ContractError("step() called on a finished episode")
     cfg = state.config
-    n = len(state.uavs)
+    n = cfg.num_uavs
     if len(actions) != n:
         raise ContractError(f"expected {n} actions, got {len(actions)}")
+    actions = np.asarray(actions, dtype=float).reshape(n, 2)
+    finite = np.isfinite(actions).all(axis=1)
+    if not finite.all():
+        u = int(np.argmin(finite))
+        raise ContractError(f"non-finite action {actions[u].tolist()} for agent {u}")
 
     # 1. motion
-    pos = state.positions()
-    new_pos = apply_action(pos, clamp_action(actions), cfg.step_length)
-    velocity = new_pos - pos
-    dist_moved = norms(velocity)
-    for i, uav in enumerate(state.uavs):
-        uav.velocity = velocity[i]
-        uav.pos = new_pos[i]
+    new_pos = apply_action(state.pos, np.clip(actions, -1.0, 1.0), cfg.step_length)
+    state.velocity = new_pos - state.pos
+    state.pos = new_pos
+    dist_moved = norms(state.velocity)
 
     # 2. collisions with obstacles or enclosure walls
     r = cfg.uav_radius
@@ -161,8 +158,6 @@ def step(state: WorldState, actions) -> tuple[WorldState, StepEvents]:
     if len(state.obstacle_r) > 0:
         d = np.linalg.norm(state.obstacle_xy[None, :, :] - new_pos[:, None, :], axis=2)
         collided |= np.any(d < state.obstacle_r + r, axis=1)
-    for i in np.nonzero(collided)[0]:
-        state.uavs[i].alive = False
     if collided.any():
         state.done = True
         state.done_reason = CAUSE_COLLISION
@@ -189,41 +184,35 @@ def step(state: WorldState, actions) -> tuple[WorldState, StepEvents]:
             breakdown.append((m, int(p), take))
             collected[m] += take
 
-    # 4. CUAV charging: closest in-range MUAV, one target per CUAV
+    # 4. CUAV charging: closest in-range MUAV, one target per CUAV, in CUAV
+    # index order (each charge sees the top-ups before it)
     charge: list[ChargeOutcome] = []
     e0 = cfg.charge_per_step
-    for c in range(state.num_muavs, n):
-        muavs = state.muavs()
-        ers = np.array([u.er for u in muavs]) if muavs else np.zeros(0)
-        er_mean = float(ers.mean()) if len(ers) else 0.0
+    ec, ed = state.ec, state.ed
+    for c in range(m_count, n):
+        ers = state.er[:m_count]
+        er_mean = float(ers.mean()) if m_count else 0.0
         dists = uav_dists[c, :m_count]
         candidates = np.nonzero(dists <= cfg.charge_radius)[0]
         if len(candidates) == 0:
             charge.append(ChargeOutcome(None, 0.0, 0.0, 0.0, False, er_mean))
             continue
         target = int(candidates[np.argmin(dists[candidates])])
-        tu = muavs[target]
-        target_er = tu.er
-        headroom = tu.ed - tu.ec          # == er0 - er, but exact by construction
+        headroom = ed[target] - ec[target]   # == initial_energy - er, but exact
         if headroom <= e0:
-            delivered = tu.ed - tu.ec
-            tu.ec = tu.ed                 # exact top-up keeps ec <= ed bitwise
+            delivered = headroom
+            ec[target] = ed[target]          # exact top-up keeps ec <= ed bitwise
         else:
             delivered = e0
-            tu.ec = tu.ec + e0
+            ec[target] = ec[target] + e0
         charge.append(ChargeOutcome(target, delivered, e0 - delivered,
-                                    target_er, headroom <= 0.0, er_mean))
+                                    ers[target], headroom <= 0.0, er_mean))
 
     # 5. MUAV energy accounting; depletion terminates
-    for m in range(m_count):
-        uav = state.uavs[m]
-        cost = cfg.beta * collected[m] + cfg.kappa * dist_moved[m]
-        uav.ed = uav.ed + cost
-        if uav.er <= 0.0:
-            uav.alive = False
-            if not state.done:
-                state.done = True
-                state.done_reason = CAUSE_ENERGY
+    ed[:m_count] += cfg.beta * collected + cfg.kappa * dist_moved[:m_count]
+    if np.any(state.er[:m_count] <= 0.0) and not state.done:
+        state.done = True
+        state.done_reason = CAUSE_ENERGY
 
     # 6. clock
     state.t += 1
@@ -259,10 +248,6 @@ def cuav_obs_len(config: WorldConfig) -> int:
     return config.num_lasers + 4 * NUM_UAV_BLOCKS + 5 * config.num_muavs + 2 + 2 + 1 + 2
 
 
-def obs_len(kind: str, config: WorldConfig) -> int:
-    return muav_obs_len(config) if kind == MUAV else cuav_obs_len(config)
-
-
 def max_obs_len(config: WorldConfig) -> int:
     lens = []
     if config.num_muavs > 0:
@@ -272,24 +257,25 @@ def max_obs_len(config: WorldConfig) -> int:
     return max(lens)
 
 
+def _unit(state: WorldState, u: int, i: int, d: float) -> list[float]:
+    """Unit vector from UAV u to UAV i, `d` apart; zero when they coincide."""
+    if d > 0:
+        return ((state.pos[i] - state.pos[u]) / d).tolist()
+    return [0.0, 0.0]
+
+
 def _nearest_uav_blocks(state: WorldState, u: int, dist_row: list[float]) -> list[float]:
     """The two nearest other UAVs as (unit dx, unit dy, distance, type flag);
     absent slots pad with distance = field-of-view range. `dist_row` is row
     u of `uav_distances`."""
     cfg = state.config
-    me = state.uavs[u]
     others = sorted((d, i) for i, d in enumerate(dist_row) if i != u)
     out: list[float] = []
     for k in range(NUM_UAV_BLOCKS):
         if k < len(others):
             d, i = others[k]
-            o = state.uavs[i]
-            if d > 0:
-                ux, uy = (o.pos - me.pos) / d
-            else:
-                ux, uy = 0.0, 0.0
-            flag = 0.0 if o.kind == MUAV else 1.0
-            out += [float(ux), float(uy), d, flag]
+            flag = 0.0 if i < cfg.num_muavs else 1.0
+            out += _unit(state, u, i, d) + [d, flag]
         else:
             out += [0.0, 0.0, cfg.fov, 0.0]
     return out
@@ -297,12 +283,9 @@ def _nearest_uav_blocks(state: WorldState, u: int, dist_row: list[float]) -> lis
 
 def _self_block(state: WorldState, u: int) -> list[float]:
     cfg = state.config
-    uav = state.uavs[u]
-    return [
-        float(uav.velocity[0]), float(uav.velocity[1]),
-        float(uav.pos[0]) / cfg.area_width, float(uav.pos[1]) / cfg.area_height,
-        state.t / cfg.max_steps,
-    ]
+    vx, vy = state.velocity[u].tolist()
+    x, y = state.pos[u].tolist()
+    return [vx, vy, x / cfg.area_width, y / cfg.area_height, state.t / cfg.max_steps]
 
 
 def observe(state: WorldState, u: int, lasers: np.ndarray,
@@ -311,39 +294,36 @@ def observe(state: WorldState, u: int, lasers: np.ndarray,
     state's fleet sensing: `lasers` from `cast_lasers`, `uav_dists` from
     `uav_distances` and `poi_dists` from `poi_distances`."""
     cfg = state.config
-    uav = state.uavs[u]
+    e_init = cfg.initial_energy
+    ers, ecs, eds = state.er.tolist(), state.ec.tolist(), state.ed.tolist()
     dist_row = uav_dists[u].tolist()
     parts: list[float] = lasers[u].tolist()
     parts += _nearest_uav_blocks(state, u, dist_row)
 
-    if uav.kind == MUAV:
+    is_muav = u < cfg.num_muavs
+    if is_muav:
         dists = poi_dists[u]
         visible = np.nonzero((state.poi_rem > 0.0) & (dists <= cfg.fov))[0]
         # `visible` ascends, so a stable sort breaks distance ties by index
         near = visible[np.argsort(dists[visible], kind="stable")[:NUM_POI_BLOCKS]]
         d = dists[near][:, None]
         block = np.zeros((NUM_POI_BLOCKS, 3))
-        np.divide(state.poi_xy[near] - uav.pos, d, out=block[: len(near), :2],
+        np.divide(state.poi_xy[near] - state.pos[u], d, out=block[: len(near), :2],
                   where=d > 0)
         block[: len(near), 2] = state.poi_rem[near]
         parts += block.ravel().tolist()
         parts += _self_block(state, u)
-        parts += [uav.er / uav.er0, uav.ec / cfg.e_max, uav.ed / uav.er0]
+        parts += [ers[u] / e_init, ecs[u] / cfg.e_max, eds[u] / e_init]
         parts += [1.0, 0.0]
     else:
         for m in range(state.num_muavs):
-            mu = state.uavs[m]
-            d = dist_row[m]
-            if d > 0:
-                ux, uy = (mu.pos - uav.pos) / d
-            else:
-                ux, uy = 0.0, 0.0
-            parts += [mu.er / mu.er0, mu.ec / cfg.e_max, float(ux), float(uy), d]
+            parts += [ers[m] / e_init, ecs[m] / cfg.e_max]
+            parts += _unit(state, u, m, dist_row[m]) + [dist_row[m]]
         parts += _self_block(state, u)
         parts += [0.0, 1.0]
 
     vec = np.asarray(parts, dtype=float)
-    assert len(vec) == obs_len(uav.kind, cfg)
+    assert len(vec) == (muav_obs_len(cfg) if is_muav else cuav_obs_len(cfg))
     return vec
 
 

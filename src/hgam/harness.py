@@ -13,7 +13,7 @@ from .env import write_poi_csv, write_trajectory_csv
 from .errors import ConfigError
 from .rollout import run_episode
 from .training import actor_actions, load_actor_networks
-from .world import MUAV, WorldConfig, WorldState, generate_scenario
+from .world import WorldConfig, WorldState, generate_scenario
 
 POLICY_KINDS = ("greedy", "random", "hgam", "hgam_no_gat")
 
@@ -22,23 +22,22 @@ def greedy_policy(state: WorldState, u: int) -> np.ndarray:
     """Nearest-target heuristic: MUAVs head for the closest PoI with data
     left and dwell once inside sensing range; CUAVs shadow the lowest-battery
     MUAV. No obstacle avoidance on purpose."""
-    uav = state.uavs[u]
-    if uav.kind == MUAV:
+    pos = state.pos[u]
+    if u < state.num_muavs:
         live = state.poi_rem > 0.0
         if not np.any(live):
             return np.zeros(2)
-        dists = np.linalg.norm(state.poi_xy - uav.pos, axis=1)
+        dists = np.linalg.norm(state.poi_xy - pos, axis=1)
         masked = np.where(live, dists, np.inf)
         p = int(np.argmin(masked))
         if masked[p] <= state.config.sense_radius:
             return np.zeros(2)
-        direction = state.poi_xy[p] - uav.pos
+        direction = state.poi_xy[p] - pos
     else:
-        muavs = state.muavs()
-        if not muavs:
+        if state.num_muavs == 0:
             return np.zeros(2)
-        target = int(np.argmin([m.er for m in muavs]))
-        offset = muavs[target].pos - uav.pos
+        target = int(np.argmin(state.er[: state.num_muavs]))
+        offset = state.pos[target] - pos
         if float(np.linalg.norm(offset)) <= state.config.charge_radius:
             return np.zeros(2)
         direction = offset
@@ -60,7 +59,7 @@ class GreedyPolicy:
         pass
 
     def actions(self, state: WorldState, obs, nbrs) -> list[np.ndarray]:
-        return [greedy_policy(state, u) for u in range(len(state.uavs))]
+        return [greedy_policy(state, u) for u in range(state.config.num_uavs)]
 
 
 class RandomPolicy:
@@ -74,7 +73,7 @@ class RandomPolicy:
         self._rng = np.random.default_rng(np.random.SeedSequence((episode_seed, 1)))
 
     def actions(self, state: WorldState, obs, nbrs) -> list[np.ndarray]:
-        return [random_policy(self._rng) for _ in state.uavs]
+        return [random_policy(self._rng) for _ in range(state.config.num_uavs)]
 
 
 class ActorPolicy:
@@ -134,14 +133,15 @@ def evaluate(policy, world_config: WorldConfig, episodes: int, seed: int,
 
     def record(state, t, obs, nbrs, actions, rewards, events):
         m = state.num_muavs
-        for u, uav in enumerate(state.uavs):
+        er = state.er
+        for u, kind in enumerate(state.config.kinds):
             collected = float(events.collected[u]) if u < m else 0.0
             outcome = events.charge[u - m] if u >= m else None
             charged_to = "" if outcome is None or outcome.target is None \
                 else outcome.target
-            traj_rows.append([state.t, u, uav.kind,
-                              float(uav.pos[0]), float(uav.pos[1]),
-                              uav.er, uav.ec, uav.ed, collected,
+            traj_rows.append([state.t, u, kind,
+                              float(state.pos[u, 0]), float(state.pos[u, 1]),
+                              er[u], state.ec[u], state.ed[u], collected,
                               charged_to, rewards[u]])
 
     for i in range(episodes):

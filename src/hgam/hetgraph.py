@@ -73,13 +73,14 @@ def local_neighbors(state: WorldState, u: int,
     optionally capped by comm_radius). Ties break to the lowest index.
     `uav_dists` is the state's `uav_distances` matrix."""
     cfg = state.config
+    kinds = cfg.kinds
     best: dict[str, tuple[float, int]] = {}
     for i, d in enumerate(uav_dists[u].tolist()):
         if i == u:
             continue
         if cfg.comm_radius is not None and d > cfg.comm_radius:
             continue
-        kind = state.uavs[i].kind
+        kind = kinds[i]
         cur = best.get(kind)
         if cur is None or (d, i) < cur:
             best[kind] = (d, i)
@@ -97,9 +98,9 @@ def build_local_graph(state: WorldState, u: int, observations) -> HeteroGraph:
     for nbr in (muav_nbr, cuav_nbr):
         if nbr is not None:
             ids.append(nbr)
-    kinds = [state.uavs[i].kind for i in ids]
-    feats = np.stack([local_node_feature(observations[i], state.uavs[i].kind, cfg)
-                      for i in ids])
+    kinds = [cfg.kinds[i] for i in ids]
+    feats = np.stack([local_node_feature(observations[i], kind, cfg)
+                      for i, kind in zip(ids, kinds)])
     edges = [(k, 0) for k in range(1, len(ids))]
     return HeteroGraph(ids, kinds, feats, 0, edges)
 
@@ -108,8 +109,8 @@ def build_global_graph(state: WorldState, observations, actions) -> list[HeteroG
     """Complete directed graph over the fleet with observation+action node
     features; one view per ego (shared nodes/edges, different ego index)."""
     cfg = state.config
-    n = len(state.uavs)
-    kinds = [uav.kind for uav in state.uavs]
+    n = cfg.num_uavs
+    kinds = cfg.kinds
     feats = np.stack([global_node_feature(observations[i], np.asarray(actions[i]),
                                           kinds[i], cfg) for i in range(n)])
     edges = [(i, j) for j in range(n) for i in range(n) if i != j]

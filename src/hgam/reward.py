@@ -26,13 +26,12 @@ class RewardBreakdown:
     total: float
 
 
-def fairness_factor(muav_states, config: WorldConfig) -> float:
+def fairness_factor(state: WorldState, config: WorldConfig) -> float:
     """Weighted blend of two Jain indices: charged-energy fractions and
     remaining battery levels across MUAVs."""
-    ec_frac = [min(u.ec / config.e_max, 1.0) for u in muav_states]
-    er_vals = [max(u.er, 0.0) for u in muav_states]
-    fc = jain_index(ec_frac)
-    fr = jain_index(er_vals)
+    m = state.num_muavs
+    fc = jain_index(np.minimum(state.ec[:m] / config.e_max, 1.0))
+    fr = jain_index(np.maximum(state.er[:m], 0.0))
     return config.w_f * fc + (1.0 - config.w_f) * fr
 
 
@@ -61,7 +60,7 @@ def cuav_neglect_penalty(state: WorldState, c: int, uav_dists: np.ndarray,
     """Distance-plus-urgency penalty anchored on the lowest-battery MUAV
     (ties go to the lowest index). Battery levels below zero count as empty.
     `uav_dists` is the state's `(U, U)` UAV distance matrix."""
-    ers = np.array([u.er for u in state.muavs()])
+    ers = state.er[: state.num_muavs]
     i = int(np.argmin(ers))
     return config.w_d * float(uav_dists[c, i]) + config.w_e * max(float(ers[i]), 0.0)
 
@@ -83,7 +82,7 @@ def cuav_reward(state: WorldState, events: StepEvents, c: int,
                 config: WorldConfig) -> RewardBreakdown:
     outcome = events.charge[c - state.num_muavs]
     if outcome.delivered > 0.0:
-        h = config.w_e * fairness_factor(state.muavs(), config)
+        h = config.w_e * fairness_factor(state, config)
         iota = 0.0
     else:
         h = 0.0

@@ -30,7 +30,7 @@ def joint_observation(state: WorldState, events: StepEvents | None = None
     else:
         lasers, uav_dists = events.lasers, events.uav_dists
         poi_dists = events.poi_dists
-    n = len(state.uavs)
+    n = state.config.num_uavs
     obs = np.zeros((n, max_obs_len(state.config)))
     nbrs = np.full((n, 2), -1, dtype=np.int64)
     for u in range(n):
@@ -56,7 +56,7 @@ def run_episode(state: WorldState, act, on_step=None, reads_obs: bool = True) ->
     otherwise the loop observes it, and never once the episode is done.
     """
     tracker = EpisodeTracker(state)
-    reward_sums = np.zeros(len(state.uavs))
+    reward_sums = np.zeros(state.config.num_uavs)
     joint = events = None
     while not state.done:
         if joint is None:
@@ -84,10 +84,10 @@ class EpisodeTracker:
         self.config = state.config
         m = state.num_muavs
         self.windows = [DilemmaWindow() for _ in range(m)]
-        for w, uav in zip(self.windows, state.muavs()):
-            w.push(uav.pos)
+        for w, pos in zip(self.windows, state.pos[:m]):
+            w.push(pos)
         self.active_steps = np.zeros(state.num_cuavs, dtype=np.int64)
-        n = len(state.uavs)
+        n = state.config.num_uavs
         self.component_totals = np.zeros((n, 5))  # h, iota, pl, pb, total
 
     def after_step(self, state: WorldState, events: StepEvents) -> list[RewardBreakdown]:
@@ -95,7 +95,7 @@ class EpisodeTracker:
         cfg = self.config
         breakdowns: list[RewardBreakdown] = []
         for m in range(state.num_muavs):
-            self.windows[m].push(state.uavs[m].pos)
+            self.windows[m].push(state.pos[m])
             dilemma = detect_dilemma(self.windows[m], cfg.sense_radius)
             breakdowns.append(muav_reward(events, dilemma, m, cfg))
         for ci in range(state.num_cuavs):
@@ -108,13 +108,13 @@ class EpisodeTracker:
         return breakdowns
 
     def episode_log(self, state: WorldState) -> EpisodeLog:
-        muavs = state.muavs()
+        m = state.num_muavs
         return EpisodeLog(
             poi_m0=state.poi_m0.copy(),
             poi_mT=state.poi_rem.copy(),
-            muav_er0=np.array([u.er0 for u in muavs]),
-            muav_ec=np.array([u.ec for u in muavs]),
-            muav_ed=np.array([u.ed for u in muavs]),
+            muav_er0=np.full(m, state.config.initial_energy, dtype=float),
+            muav_ec=state.ec[:m].copy(),
+            muav_ed=state.ed[:m].copy(),
             cuav_active_steps=self.active_steps.copy(),
             e_max=state.config.e_max,
             length=state.t,

@@ -109,35 +109,16 @@ class WorldConfig:
 
 
 @dataclass
-class UavState:
-    """One UAV. Energy is tracked via the charged/consumed accumulators; the
-    remaining level is always derived as er0 + ec - ed so the bookkeeping
-    identity holds exactly (no float drift between three counters)."""
-
-    kind: str                 # MUAV or CUAV
-    pos: np.ndarray           # (2,)
-    velocity: np.ndarray      # (2,) displacement of the last step
-    er0: float
-    ec: float = 0.0           # cumulative energy received
-    ed: float = 0.0           # cumulative energy consumed
-    alive: bool = True
-
-    @property
-    def er(self) -> float:
-        return self.er0 + self.ec - self.ed
-
-    def copy(self) -> "UavState":
-        return UavState(self.kind, self.pos.copy(), self.velocity.copy(),
-                        self.er0, self.ec, self.ed, self.alive)
-
-
-@dataclass
 class WorldState:
-    """Full simulator state. PoIs and obstacles are stored as arrays
-    (positions, initial/remaining data, radii) rather than object lists."""
+    """Full simulator state, stored as arrays. UAV rows follow
+    `config.kinds` (MUAVs, then CUAVs). Energy is tracked via the
+    charged/consumed accumulators; the remaining level is always derived
+    (`er`), so the bookkeeping identity holds exactly (no float drift
+    between three counters). A new state starts at rest, with no energy
+    charged or consumed and no PoI seen."""
 
     config: WorldConfig
-    uavs: list[UavState]
+    pos: np.ndarray           # (U, 2)
     poi_xy: np.ndarray        # (P, 2)
     poi_m0: np.ndarray        # (P,)
     poi_rem: np.ndarray       # (P,)
@@ -146,8 +127,18 @@ class WorldState:
     t: int = 0
     done: bool = False
     done_reason: str | None = None
-    # per-MUAV mask of PoIs that have ever been inside its sensing radius
-    seen_pois: list[np.ndarray] = field(default_factory=list)
+    velocity: np.ndarray = field(init=False)   # (U, 2) displacement of the last step
+    ec: np.ndarray = field(init=False)         # (U,) cumulative energy received
+    ed: np.ndarray = field(init=False)         # (U,) cumulative energy consumed
+    # (M, P) mask of the PoIs that have ever been inside each MUAV's sensing radius
+    seen_pois: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        n = self.config.num_uavs
+        self.velocity = np.zeros((n, 2))
+        self.ec = np.zeros(n)
+        self.ed = np.zeros(n)
+        self.seen_pois = np.zeros((self.num_muavs, len(self.poi_xy)), dtype=bool)
 
     @property
     def num_muavs(self) -> int:
@@ -157,30 +148,10 @@ class WorldState:
     def num_cuavs(self) -> int:
         return self.config.num_cuavs
 
-    def muavs(self) -> list[UavState]:
-        return self.uavs[: self.num_muavs]
-
-    def cuavs(self) -> list[UavState]:
-        return self.uavs[self.num_muavs:]
-
-    def positions(self) -> np.ndarray:
-        """(U, 2) copy of the UAV positions."""
-        return np.array([u.pos for u in self.uavs], dtype=float).reshape(-1, 2)
-
-    def copy(self) -> "WorldState":
-        return WorldState(
-            config=self.config,
-            uavs=[u.copy() for u in self.uavs],
-            poi_xy=self.poi_xy.copy(),
-            poi_m0=self.poi_m0.copy(),
-            poi_rem=self.poi_rem.copy(),
-            obstacle_xy=self.obstacle_xy.copy(),
-            obstacle_r=self.obstacle_r.copy(),
-            t=self.t,
-            done=self.done,
-            done_reason=self.done_reason,
-            seen_pois=[m.copy() for m in self.seen_pois],
-        )
+    @property
+    def er(self) -> np.ndarray:
+        """(U,) remaining energy, initial_energy + ec - ed."""
+        return self.config.initial_energy + self.ec - self.ed
 
 
 def generate_scenario(config: WorldConfig, seed: int) -> WorldState:
@@ -197,11 +168,7 @@ def generate_scenario(config: WorldConfig, seed: int) -> WorldState:
     poi_m0 = rng.uniform(0.0, 1.0, size=config.num_pois)
 
     r = config.uav_radius
-    uavs = []
-    for kind in config.kinds:
-        pos = rng.uniform((r, r), (w - r, h - r), size=2)
-        uavs.append(UavState(kind=kind, pos=pos, velocity=np.zeros(2),
-                             er0=config.initial_energy))
+    pos = rng.uniform((r, r), (w - r, h - r), size=(config.num_uavs, 2))
 
     lo, hi = OBSTACLE_RADIUS_RANGE
     obs_xy = np.zeros((config.num_obstacles, 2))
@@ -212,9 +179,7 @@ def generate_scenario(config: WorldConfig, seed: int) -> WorldState:
             if rad >= w / 2 or rad >= h / 2:
                 continue
             center = rng.uniform((rad, rad), (w - rad, h - rad), size=2)
-            clear = all(np.linalg.norm(center - u.pos) >= rad + config.uav_radius
-                        for u in uavs)
-            if clear:
+            if np.all(norms(center - pos) >= rad + r):
                 obs_xy[i] = center
                 obs_r[i] = rad
                 break
@@ -224,13 +189,12 @@ def generate_scenario(config: WorldConfig, seed: int) -> WorldState:
 
     return WorldState(
         config=config,
-        uavs=uavs,
+        pos=pos,
         poi_xy=poi_xy,
         poi_m0=poi_m0,
         poi_rem=poi_m0.copy(),
         obstacle_xy=obs_xy,
         obstacle_r=obs_r,
-        seen_pois=[np.zeros(config.num_pois, dtype=bool) for _ in range(config.num_muavs)],
     )
 
 

@@ -3,37 +3,32 @@ import pytest
 
 from hgam.env import cast_lasers, observe, poi_distances, uav_distances
 from hgam.neural import forward
-from hgam.world import UavState, WorldConfig, WorldState
+from hgam.world import WorldConfig, WorldState
 
 
 def build_state(config: WorldConfig, uav_pos, poi_pos=(), poi_m0=(),
                 obstacles=()) -> WorldState:
     """Hand-placed world: uav_pos must list MUAV positions first (matching
     config counts); obstacles are (x, y, radius) triples."""
-    kinds = config.kinds
-    assert len(uav_pos) == len(kinds)
-    uavs = [UavState(kind=k, pos=np.asarray(p, dtype=float),
-                     velocity=np.zeros(2), er0=config.initial_energy)
-            for k, p in zip(kinds, uav_pos)]
+    assert len(uav_pos) == config.num_uavs
     poi_xy = np.asarray(poi_pos, dtype=float).reshape(-1, 2)
     m0 = np.asarray(poi_m0, dtype=float).reshape(-1)
     obs = np.asarray(obstacles, dtype=float).reshape(-1, 3)
     return WorldState(
         config=config,
-        uavs=uavs,
+        pos=np.array(uav_pos, dtype=float).reshape(-1, 2),
         poi_xy=poi_xy,
         poi_m0=m0,
         poi_rem=m0.copy(),
         obstacle_xy=obs[:, :2].copy(),
         obstacle_r=obs[:, 2].copy(),
-        seen_pois=[np.zeros(len(m0), dtype=bool) for _ in range(config.num_muavs)],
     )
 
 
 def observations(state: WorldState) -> list[np.ndarray]:
     """Every agent's unpadded observation of `state` as it is now."""
     sensing = cast_lasers(state), uav_distances(state), poi_distances(state)
-    return [observe(state, u, *sensing) for u in range(len(state.uavs))]
+    return [observe(state, u, *sensing) for u in range(state.config.num_uavs)]
 
 
 def forward_graph(net, graph):

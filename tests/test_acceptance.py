@@ -283,8 +283,8 @@ def test_criterion_6_conservation():
             _, ev = step(state, actions)
             for _, p, amount in ev.collection_breakdown:
                 takes_by_poi[p].append(amount)
-            for u in state.muavs():
-                assert u.er == u.er0 + u.ec - u.ed   # bitwise identity
+            for m in range(state.num_muavs):   # bitwise identity
+                assert state.er[m] == cfg.initial_energy + state.ec[m] - state.ed[m]
         per_poi = [math.fsum(t) for t in takes_by_poi]
         for p in range(cfg.num_pois):
             assert per_poi[p] == state.poi_m0[p] - state.poi_rem[p]

@@ -72,7 +72,7 @@ def test_laser_readings_positive_and_below_uav_radius_means_collision():
 def per_agent_lasers(state, u):
     """One UAV's readings as a single ray cast (the reference)."""
     cfg = state.config
-    pos = state.uavs[u].pos
+    pos = state.pos[u]
     dirs = _beam_dirs(cfg.num_lasers)
     cap = cfg.fov
     readings = np.full(cfg.num_lasers, cap)
@@ -106,23 +106,23 @@ def test_fleet_lasers_bit_equal_per_agent_cast(cfg):
     checked = {"free": 0, "wall": 0, "obstacle": 0}
     for seed in range(40):
         s = generate_scenario(cfg, seed)
-        for uav in s.uavs:
+        for u in range(len(s.pos)):
             mode = rng.choice(list(checked))
             if mode == "wall":
                 # within half a unit of one wall, sometimes just outside it
                 axis = rng.integers(2)
                 side = (cfg.area_width, cfg.area_height)[axis] * rng.integers(2)
-                uav.pos[axis] = side + rng.uniform(-0.5, 0.5)
+                s.pos[u, axis] = side + rng.uniform(-0.5, 0.5)
             elif mode == "obstacle":
                 # around an obstacle's surface, sometimes inside it
                 b = rng.integers(len(s.obstacle_r))
                 ang = rng.uniform(0.0, 2.0 * math.pi)
                 gap = s.obstacle_r[b] + rng.uniform(-0.2, 0.5)
-                uav.pos = s.obstacle_xy[b] + gap * np.array([math.cos(ang), math.sin(ang)])
+                s.pos[u] = s.obstacle_xy[b] + gap * np.array([math.cos(ang), math.sin(ang)])
             checked[mode] += 1
         fleet = cast_lasers(s)
-        assert fleet.shape == (len(s.uavs), cfg.num_lasers)
-        for u in range(len(s.uavs)):
+        assert fleet.shape == (len(s.pos), cfg.num_lasers)
+        for u in range(len(s.pos)):
             assert fleet[u].tobytes() == per_agent_lasers(s, u).tobytes()
     assert min(checked.values()) >= 20
     # exactly on a wall, in corners, on an obstacle's center and surface
@@ -130,11 +130,11 @@ def test_fleet_lasers_bit_equal_per_agent_cast(cfg):
     ox, oy = s.obstacle_xy[0]
     spots = [(0.0, 8.0), (cfg.area_width, cfg.area_height), (8.0, 0.0),
              (0.0, 0.0), (ox, oy), (ox + s.obstacle_r[0], oy)]
-    for k in range(0, len(spots), len(s.uavs)):
-        for uav, spot in zip(s.uavs, spots[k:]):
-            uav.pos = np.array(spot)
+    for k in range(0, len(spots), len(s.pos)):
+        for u, spot in zip(range(len(s.pos)), spots[k:]):
+            s.pos[u] = np.array(spot)
         fleet = cast_lasers(s)
-        for u in range(len(s.uavs)):
+        for u in range(len(s.pos)):
             assert fleet[u].tobytes() == per_agent_lasers(s, u).tobytes()
 
 
@@ -154,9 +154,9 @@ def test_uav_distances_bit_equal_per_pair_norm(pool, picks):
     s = build_state(cfg, pos)
     got = uav_distances(s)
     assert got.shape == (len(pos), len(pos))
-    for i, a in enumerate(s.uavs):
-        for j, b in enumerate(s.uavs):
-            want = np.linalg.norm(b.pos - a.pos)
+    for i, a in enumerate(s.pos):
+        for j, b in enumerate(s.pos):
+            want = np.linalg.norm(b - a)
             assert got[i, j].tobytes() == want.tobytes()
 
 
@@ -191,13 +191,13 @@ def test_charging_prefers_closest_muav():
     cfg = WorldConfig()
     s = build_state(cfg, [(8.0, 8.4), (8.0, 9.2), (8.0, 8.0)])
     # give both MUAVs headroom so delivery is possible
-    s.uavs[0].ed = 1.0
-    s.uavs[1].ed = 1.0
+    s.ed[0] = 1.0
+    s.ed[1] = 1.0
     _, ev = step(s, _idle(3))
     assert ev.charge[0].target == 0
     assert ev.charge[0].delivered == pytest.approx(0.5)
-    assert s.uavs[0].ec == pytest.approx(0.5)
-    assert s.uavs[1].ec == 0.0
+    assert s.ec[0] == pytest.approx(0.5)
+    assert s.ec[1] == 0.0
 
 
 def test_charging_full_battery_wasted():
@@ -213,7 +213,7 @@ def test_charging_full_battery_wasted():
 def test_charge_delivered_plus_wasted_is_quantum():
     cfg = WorldConfig()
     s = build_state(cfg, [(8.0, 8.4), (14.0, 2.0), (8.0, 8.0)])
-    s.uavs[0].ed = 0.13
+    s.ed[0] = 0.13
     _, ev = step(s, _idle(3))
     out = ev.charge[0]
     assert out.delivered == pytest.approx(0.13)
@@ -227,8 +227,8 @@ def test_energy_consumption_formula():
     # collected 0.2 plus moved 0.13 with beta = kappa = 1
     assert ev.collected[0] == pytest.approx(0.2)
     assert ev.dist_moved[0] == pytest.approx(0.13)
-    assert s.uavs[0].ed == pytest.approx(0.33)
-    assert s.uavs[0].er == pytest.approx(50.0 - 0.33)
+    assert s.ed[0] == pytest.approx(0.33)
+    assert s.er[0] == pytest.approx(50.0 - 0.33)
 
 
 def test_wall_exit_is_collision():
@@ -263,18 +263,95 @@ def test_step_after_done_raises():
         step(s, _idle(1))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("row", [0, 1, 2])
+def test_non_finite_action_raises_before_state_changes(bad, row):
+    s = generate_scenario(WorldConfig(), 1)
+    pos, velocity, ed = s.pos.copy(), s.velocity.copy(), s.ed.copy()
+    acts = [np.array([0.5, -0.5]) for _ in range(3)]
+    acts[row] = np.array([0.3, bad]) if row % 2 else np.array([bad, 0.3])
+    with pytest.raises(ContractError, match=f"agent {row}"):
+        step(s, acts)
+    assert s.pos.tobytes() == pos.tobytes() and s.t == 0 and not s.done
+    assert s.velocity.tobytes() == velocity.tobytes()
+    assert s.ed.tobytes() == ed.tobytes()
+
+
+def _depleting(cfg, muav_pos):
+    """One MUAV with 0.1 energy left, which one full step (0.13) empties,
+    and one CUAV out of its charge radius."""
+    s = build_state(cfg, [muav_pos, (2.0, 2.0)])
+    s.ed[0] = cfg.initial_energy - 0.1
+    return s
+
+
+def test_energy_depletion_ends_episode():
+    cfg = WorldConfig(num_muavs=1, num_cuavs=1, num_obstacles=0, num_pois=0)
+    s = _depleting(cfg, (8.0, 8.0))
+    _, ev = step(s, [np.array([1.0, 0.0]), np.zeros(2)])
+    assert s.er[0] <= 0.0
+    assert s.done and s.done_reason == ev.cause == "energy"
+
+
+def test_collision_outranks_depletion_in_one_step():
+    cfg = WorldConfig(num_muavs=1, num_cuavs=1, num_obstacles=0, num_pois=0)
+    s = _depleting(cfg, (0.25, 8.0))
+    _, ev = step(s, [np.array([-1.0, 0.0]), np.zeros(2)])
+    assert ev.collided[0] and s.er[0] <= 0.0
+    assert s.done and s.done_reason == ev.cause == "collision"
+
+
+def test_depletion_on_the_last_step_reports_energy():
+    cfg = WorldConfig(num_muavs=1, num_cuavs=1, num_obstacles=0, num_pois=0,
+                      max_steps=1)
+    s = _depleting(cfg, (8.0, 8.0))
+    _, ev = step(s, [np.array([1.0, 0.0]), np.zeros(2)])
+    assert s.t == cfg.max_steps
+    assert s.done and s.done_reason == ev.cause == "energy"
+
+
+@pytest.mark.parametrize("ed0", [0.7, 0.3])
+def test_two_cuavs_charge_one_muav_in_index_order(ed0):
+    # CUAV 2 is out of range; CUAVs 3 and 4 reach MUAV 0 only, whose
+    # headroom ed0 is under two quanta: CUAV 3 charges first, and CUAV 4
+    # sees its top-up
+    cfg = WorldConfig(num_muavs=2, num_cuavs=3, num_obstacles=0, num_pois=0)
+    s = build_state(cfg, [(8.0, 8.0), (14.0, 2.0), (2.0, 14.0), (8.0, 8.5),
+                          (8.0, 7.0)])
+    s.ed[0] = ed0
+    e0, full = cfg.charge_per_step, cfg.initial_energy
+    _, ev = step(s, _idle(5))
+    idle, first, second = ev.charge
+    assert idle.target is None and first.target == second.target == 0
+    assert first.target_er == full - ed0 and not first.target_full
+    assert first.muav_er_mean == (full - ed0 + full) / 2
+    if ed0 > e0:    # a full quantum, then the rest of the headroom
+        assert first.delivered == e0
+        assert second.target_er == full + e0 - ed0
+        assert second.delivered == ed0 - e0 and not second.target_full
+    else:           # the first charge tops up, the second finds it full
+        assert first.delivered == ed0
+        assert second.target_er == full + ed0 - ed0
+        assert second.delivered == 0.0 and second.target_full
+    assert second.muav_er_mean == (second.target_er + full) / 2
+    for out in (first, second):
+        assert out.delivered + out.wasted == e0
+    assert s.ec[0] == s.ed[0] == ed0   # topped up exactly: ec <= ed bitwise
+    assert s.ec[1] == 0.0
+
+
 def test_step_deterministic():
     cfg = WorldConfig()
     s1 = generate_scenario(cfg, 42)
-    s2 = s1.copy()
+    s2 = generate_scenario(cfg, 42)
     rng = np.random.default_rng(1)
     acts = list(rng.uniform(-1, 1, (3, 2)))
     _, ev1 = step(s1, acts)
     _, ev2 = step(s2, acts)
     assert np.array_equal(ev1.collected, ev2.collected)
     assert np.array_equal(s1.poi_rem, s2.poi_rem)
-    for a, b in zip(s1.uavs, s2.uavs):
-        assert np.array_equal(a.pos, b.pos) and a.ed == b.ed and a.ec == b.ec
+    assert np.array_equal(s1.pos, s2.pos)
+    assert np.array_equal(s1.ed, s2.ed) and np.array_equal(s1.ec, s2.ec)
 
 
 # --- observations -----------------------------------------------------------
@@ -332,14 +409,14 @@ def test_observation_depleted_pois_hidden():
 def _poi_block_reference(state, m):
     """MUAV m's PoI blocks one PoI at a time: visible PoIs ordered by
     (distance, index), each unit vector divided on its own."""
-    uav = state.uavs[m]
-    dists = np.linalg.norm(state.poi_xy - uav.pos, axis=1)
+    pos = state.pos[m]
+    dists = np.linalg.norm(state.poi_xy - pos, axis=1)
     visible = np.nonzero((state.poi_rem > 0.0) & (dists <= state.config.fov))[0]
     order = sorted(visible, key=lambda p: (dists[p], p))[:NUM_POI_BLOCKS]
     out = []
     for p in order:
         d = dists[p]
-        ux, uy = (state.poi_xy[p] - uav.pos) / d if d > 0 else (0.0, 0.0)
+        ux, uy = (state.poi_xy[p] - pos) / d if d > 0 else (0.0, 0.0)
         out += [float(ux), float(uy), float(state.poi_rem[p])]
     return np.array(out + [0.0, 0.0, 0.0] * (NUM_POI_BLOCKS - len(order)))
 
@@ -375,11 +452,11 @@ def test_observation_reads_step_poi_distances():
             _, ev = step(s, acts)
             assert ev.poi_dists.shape == (s.num_muavs, len(s.poi_xy))
             fresh = observations(s)
-            for u in range(len(s.uavs)):
+            for u in range(len(s.pos)):
                 got = observe(s, u, ev.lasers, ev.uav_dists, ev.poi_dists)
                 assert got.tobytes() == fresh[u].tobytes()
-            for m, uav in enumerate(s.muavs()):
-                want = np.linalg.norm(s.poi_xy - uav.pos, axis=1)
+            for m, pos in enumerate(s.pos[: s.num_muavs]):
+                want = np.linalg.norm(s.poi_xy - pos, axis=1)
                 assert ev.poi_dists[m].tobytes() == want.tobytes()
                 block = fresh[m][start: start + 3 * NUM_POI_BLOCKS]
                 assert block.tobytes() == _poi_block_reference(s, m).tobytes()
@@ -387,7 +464,7 @@ def test_observation_reads_step_poi_distances():
                 break
     tied = _tied_state()
     step(tied, [np.zeros(2), np.array([1.0, 0.0]), np.zeros(2)])
-    assert np.array_equal(tied.uavs[1].pos, tied.poi_xy[10])
+    assert np.array_equal(tied.pos[1], tied.poi_xy[10])
     blocks = observations(tied)[0][start: start + 15].reshape(5, 3)
     assert blocks[0].tolist() == [0.0, 0.0, tied.poi_rem[6]]   # under MUAV 0
     assert blocks[1:, 2].tolist() == tied.poi_rem[[0, 1, 2, 3]].tolist()
@@ -396,8 +473,8 @@ def test_observation_reads_step_poi_distances():
 def test_cuav_energy_table():
     cfg = WorldConfig()
     s = build_state(cfg, [(8.0, 8.0), (8.0, 10.0), (8.0, 9.0)])
-    s.uavs[0].ed = 10.0
-    s.uavs[0].ec = 4.0
+    s.ed[0] = 10.0
+    s.ec[0] = 4.0
     obs = observations(s)[2]
     start = cfg.num_lasers + 8
     table = obs[start: start + 10].reshape(2, 5)
@@ -436,6 +513,6 @@ def test_energy_identity_every_step():
     rng = np.random.default_rng(2)
     while not s.done:
         step(s, list(rng.uniform(-1, 1, (3, 2))))
-        for u in s.muavs():
-            assert u.er == u.er0 + u.ec - u.ed
-            assert u.ec <= u.ed
+        for m in range(s.num_muavs):
+            assert s.er[m] == cfg.initial_energy + s.ec[m] - s.ed[m]
+            assert s.ec[m] <= s.ed[m]

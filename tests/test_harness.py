@@ -35,10 +35,10 @@ def test_greedy_muav_dwells_in_sense_range():
 def test_greedy_cuav_tracks_lowest_battery():
     cfg = WorldConfig(num_obstacles=0, num_pois=0)
     s = build_state(cfg, [(2.0, 8.0), (14.0, 8.0), (8.0, 8.0)])
-    s.uavs[1].ed = 30.0   # the far MUAV is needier
+    s.ed[1] = 30.0   # the far MUAV is needier
     a = greedy_policy(s, 2)
     assert a == pytest.approx([1.0, 0.0])
-    s.uavs[2].pos = np.array([13.0, 8.0])  # within charge radius: dwell
+    s.pos[2] = np.array([13.0, 8.0])  # within charge radius: dwell
     assert greedy_policy(s, 2) == pytest.approx([0.0, 0.0])
 
 

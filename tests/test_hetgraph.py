@@ -40,7 +40,7 @@ def test_local_graph_nearest_of_type():
     s = build_state(cfg, [(5.0, 8.0), (11.0, 8.0), (8.0, 8.0)])
     g = build_local_graph(s, 2, observations(s))  # ego CUAV between two MUAVs
     assert g.node_ids == [2, 0]  # MUAV 0 at distance 3 beats MUAV 1 (tie -> none here)
-    s.uavs[1].pos = np.array([10.0, 8.0])
+    s.pos[1] = np.array([10.0, 8.0])
     g = build_local_graph(s, 2, observations(s))
     assert g.node_ids == [2, 1]  # now MUAV 1 at distance 2 wins
 
@@ -57,7 +57,7 @@ def test_comm_radius_caps_neighbors():
     s = build_state(cfg, [(4.0, 8.0), (10.0, 8.0), (8.0, 4.0)])
     muav_nbr, cuav_nbr = local_neighbors(s, 0, uav_distances(s))
     assert muav_nbr is None and cuav_nbr is None  # both beyond 3 units
-    s.uavs[1].pos = np.array([6.0, 8.0])
+    s.pos[1] = np.array([6.0, 8.0])
     assert local_neighbors(s, 0, uav_distances(s)) == (1, None)
 
 

@@ -37,10 +37,9 @@ def make_events(num_muavs=2, num_uavs=3, collected=None, dist=None,
 def test_fairness_equal_fleet_is_one():
     cfg = WorldConfig()
     s = build_state(cfg, [(2.0, 2.0), (4.0, 4.0), (8.0, 8.0)])
-    for u in s.muavs():
-        u.ed = 5.0
-        u.ec = 2.0
-    assert fairness_factor(s.muavs(), cfg) == pytest.approx(1.0)
+    s.ed[:2] = 5.0
+    s.ec[:2] = 2.0
+    assert fairness_factor(s, cfg) == pytest.approx(1.0)
 
 
 def test_fairness_weighted_blend():
@@ -48,15 +47,15 @@ def test_fairness_weighted_blend():
     s = build_state(cfg, [(2.0, 2.0), (4.0, 4.0), (8.0, 8.0)])
     # first MUAV consumed and recharged a full battery: ec fraction 1, er 50;
     # second untouched: ec fraction 0, er 50. fc = jain([1,0]), fr = 1.
-    s.muavs()[0].ed = 50.0
-    s.muavs()[0].ec = 50.0
-    assert fairness_factor(s.muavs(), cfg) == pytest.approx(0.5 * 0.5 + 0.5 * 1.0)
+    s.ed[0] = 50.0
+    s.ec[0] = 50.0
+    assert fairness_factor(s, cfg) == pytest.approx(0.5 * 0.5 + 0.5 * 1.0)
 
 
 def test_fairness_all_zero_charge_convention():
     cfg = WorldConfig()
     s = build_state(cfg, [(2.0, 2.0), (4.0, 4.0), (8.0, 8.0)])
-    assert fairness_factor(s.muavs(), cfg) == 1.0
+    assert fairness_factor(s, cfg) == 1.0
 
 
 # --- muav reward ---------------------------------------------------------------
@@ -106,7 +105,7 @@ def test_muav_discovery_bonus():
 def test_neglect_penalty_formula():
     cfg = WorldConfig()
     s = build_state(cfg, [(0.0, 0.0), (5.0, 5.0), (2.0, 0.0)])
-    s.muavs()[0].ed = 40.0   # er = 10, the needy one, at distance 2
+    s.ed[0] = 40.0   # er = 10, the needy one, at distance 2
     assert cuav_neglect_penalty(s, 2, uav_distances(s), cfg) == pytest.approx(
         0.1 * 2.0 + 1.6 * 10.0)
 
@@ -114,7 +113,7 @@ def test_neglect_penalty_formula():
 def test_neglect_penalty_colocated_empty():
     cfg = WorldConfig()
     s = build_state(cfg, [(2.0, 2.0), (5.0, 5.0), (2.0, 2.0)])
-    s.muavs()[0].ed = 50.0   # er = 0
+    s.ed[0] = 50.0   # er = 0
     assert cuav_neglect_penalty(s, 2, uav_distances(s), cfg) == pytest.approx(0.0)
 
 
@@ -123,7 +122,7 @@ def test_neglect_penalty_tie_goes_to_lowest_index():
     s = build_state(cfg, [(1.0, 1.0), (6.0, 6.0), (6.0, 6.0)])
     # equal energies: target must be MUAV 0 at distance > 0
     val = cuav_neglect_penalty(s, 2, uav_distances(s), cfg)
-    d0 = np.linalg.norm(s.uavs[2].pos - s.uavs[0].pos)
+    d0 = np.linalg.norm(s.pos[2] - s.pos[0])
     assert val == pytest.approx(0.1 * d0 + 1.6 * 50.0)
 
 

@@ -13,8 +13,8 @@ from hgam.world import (CUAV, MUAV, WorldConfig, generate_scenario, lens_area,
 def test_default_scenario_counts():
     state = generate_scenario(WorldConfig(), seed=7)
     assert len(state.poi_m0) == 100
-    assert len(state.uavs) == 3
-    assert [u.kind for u in state.uavs] == [MUAV, MUAV, CUAV]
+    assert state.pos.shape == (3, 2)
+    assert state.config.kinds == [MUAV, MUAV, CUAV]
     assert len(state.obstacle_r) == 6
     assert state.t == 0 and not state.done
 
@@ -23,15 +23,14 @@ def test_default_scenario_counts():
 def test_kinds_follow_scenario_fleet_order(muavs, cuavs):
     cfg = WorldConfig(num_muavs=muavs, num_cuavs=cuavs)
     for seed in range(3):
-        assert cfg.kinds == [u.kind for u in generate_scenario(cfg, seed).uavs]
+        assert generate_scenario(cfg, seed).pos.shape == (len(cfg.kinds), 2)
     assert cfg.kinds == [MUAV] * muavs + [CUAV] * cuavs
 
 
 def test_scenario_initial_energies():
     state = generate_scenario(WorldConfig(), seed=3)
-    for u in state.uavs:
-        assert u.ec == 0.0 and u.ed == 0.0
-        assert u.er == u.er0 == 50.0
+    assert state.ec.tolist() == state.ed.tolist() == [0.0] * 3
+    assert state.er.tolist() == [50.0] * 3
 
 
 def test_no_obstacles_always_generates():
@@ -47,15 +46,14 @@ def test_scenario_deterministic():
     assert np.array_equal(a.poi_xy, b.poi_xy)
     assert np.array_equal(a.poi_m0, b.poi_m0)
     assert np.array_equal(a.obstacle_xy, b.obstacle_xy)
-    for ua, ub in zip(a.uavs, b.uavs):
-        assert np.array_equal(ua.pos, ub.pos)
+    assert np.array_equal(a.pos, b.pos)
 
 
 def test_obstacles_clear_of_uav_start_disks():
     for seed in range(10):
         state = generate_scenario(WorldConfig(), seed)
-        for u in state.uavs:
-            d = np.linalg.norm(state.obstacle_xy - u.pos, axis=1)
+        for pos in state.pos:
+            d = np.linalg.norm(state.obstacle_xy - pos, axis=1)
             assert np.all(d >= state.obstacle_r + state.config.uav_radius)
 
 
