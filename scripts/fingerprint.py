@@ -8,7 +8,7 @@ after it:
     python scripts/fingerprint.py > after.txt     # on the new commit
     diff before.txt after.txt
 
-The runs (about 8 s in total, single-threaded BLAS):
+The runs (about 10 s in total, single-threaded BLAS):
 
 - `train` on the mini world, seed 3, 54 episodes (4 with learner updates);
 - `train` on the default world, seed 3, 52 episodes (2 with updates);
@@ -23,7 +23,12 @@ The runs (about 8 s in total, single-threaded BLAS):
   seed 5) on a 3-MUAV/2-CUAV default world with `comm_radius: 6.0`,
   written to a YAML next to the run directories. Greedy CUAVs both shadow
   the lowest-battery MUAV; in the episode of seed 5 both charge the same
-  MUAV on 25 steps (seeds 0-2 never bring them to one MUAV).
+  MUAV on 25 steps (seeds 0-2 never bring them to one MUAV);
+- `train` on the same fleet world, seed 3, with a train config written
+  next to it (`e_min: 1`, 3 episodes, batch 32, capacity 4096), and
+  `evaluate --policy hgam` on its checkpoint, 3 episodes. Under
+  `comm_radius` many neighbour slots are absent, so these learner updates
+  and actors run on masked local graphs, which the runs above never do.
 
 hgam is imported from this checkout's `src/`.
 """
@@ -41,6 +46,7 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 ROOT = Path(__file__).resolve().parent.parent
 MINI = str(ROOT / "configs" / "mini_world.yaml")
 FLEET_WORLD = "num_muavs: 3\nnum_cuavs: 2\ncomm_radius: 6.0\n"
+FLEET_TRAIN = "e_min: 1\nmax_episodes: 3\nbatch_size: 32\nbuffer_capacity: 4096\n"
 
 
 def runs(out: Path):
@@ -50,6 +56,9 @@ def runs(out: Path):
     ckpt_default = str(out / "train_default" / "checkpoint.hgam")
     fleet = out / "fleet_world.yaml"
     fleet.write_text(FLEET_WORLD, encoding="utf-8")
+    fleet_train = out / "fleet_train.yaml"
+    fleet_train.write_text(FLEET_TRAIN, encoding="utf-8")
+    ckpt_fleet = str(out / "train_fleet_learn" / "checkpoint.hgam")
     return [
         ("train_mini", ["train", "--config", MINI, "--seed", "3",
                         "--episodes", "54"]),
@@ -72,6 +81,10 @@ def runs(out: Path):
         ("eval_fleet_greedy", ["evaluate", "--config", str(fleet),
                                "--policy", "greedy", "--seed", "5",
                                "--episodes", "3"]),
+        ("train_fleet_learn", ["train", "--config", str(fleet), "--train-config",
+                               str(fleet_train), "--seed", "3"]),
+        ("eval_fleet_hgam", ["evaluate", "--config", str(fleet), "--policy", "hgam",
+                             "--checkpoint", ckpt_fleet, "--episodes", "3"]),
     ]
 
 

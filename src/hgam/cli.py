@@ -36,15 +36,9 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _policy_name(args) -> str:
-    if args.policy in ("hgam", "hgam_no_gat") and getattr(args, "no_gat", False):
-        return "hgam_no_gat"
-    return args.policy
-
-
 def _cmd_evaluate(args) -> int:
     config = _world_config(args)
-    policy = make_policy(_policy_name(args), config, args.checkpoint)
+    policy = make_policy(args.policy, config, args.checkpoint)
     report = evaluate(policy, config, args.episodes, args.seed,
                       out_dir=args.out, export_traj=False)
     agg = report["aggregate"]
@@ -58,7 +52,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_export_traj(args) -> int:
     config = _world_config(args)
-    policy = make_policy(_policy_name(args), config, args.checkpoint)
+    policy = make_policy(args.policy, config, args.checkpoint)
     evaluate(policy, config, args.episodes, args.seed,
              out_dir=args.out, export_traj=True)
     print(f"wrote {args.episodes} trajectory/PoI/reward-component files to {args.out}")
@@ -104,8 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--episodes", type=int, default=20)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", required=traj, help="output directory")
-        p.add_argument("--no-gat", action="store_true",
-                       help="force the hgam_no_gat variant")
         p.set_defaults(func=func)
 
     p_ins = sub.add_parser("inspect-checkpoint", help="list checkpoint tensors")

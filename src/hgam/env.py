@@ -137,9 +137,13 @@ def step(state: WorldState, actions) -> tuple[WorldState, StepEvents]:
         raise ContractError("step() called on a finished episode")
     cfg = state.config
     n = cfg.num_uavs
-    if len(actions) != n:
-        raise ContractError(f"expected {n} actions, got {len(actions)}")
-    actions = np.asarray(actions, dtype=float).reshape(n, 2)
+    try:
+        actions = np.asarray(actions, dtype=float)
+    except ValueError as exc:  # ragged rows
+        raise ContractError(f"expected actions of shape {(n, 2)}, got rows of "
+                            f"shapes {[np.shape(a) for a in actions]}") from exc
+    if actions.shape != (n, 2):
+        raise ContractError(f"expected actions of shape {(n, 2)}, got {actions.shape}")
     finite = np.isfinite(actions).all(axis=1)
     if not finite.all():
         u = int(np.argmin(finite))

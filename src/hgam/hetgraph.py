@@ -67,37 +67,33 @@ class HeteroGraph:
         return [src for src, dst in self.edges if dst == self.ego]
 
 
-def local_neighbors(state: WorldState, u: int,
-                    uav_dists: np.ndarray) -> tuple[int | None, int | None]:
-    """Nearest other MUAV and nearest CUAV (fleet-wide via the global link,
-    optionally capped by comm_radius). Ties break to the lowest index.
-    `uav_dists` is the state's `uav_distances` matrix."""
+def local_neighbors(state: WorldState, uav_dists: np.ndarray) -> np.ndarray:
+    """The fleet's (U, 2) int64 neighbor table: column 0 holds each agent's
+    nearest other MUAV, column 1 its nearest CUAV (fleet-wide via the global
+    link, optionally capped by comm_radius), -1 when there is none. Ties
+    break to the lowest index. `uav_dists` is the state's `uav_distances`
+    matrix."""
     cfg = state.config
-    kinds = cfg.kinds
-    best: dict[str, tuple[float, int]] = {}
-    for i, d in enumerate(uav_dists[u].tolist()):
-        if i == u:
-            continue
-        if cfg.comm_radius is not None and d > cfg.comm_radius:
-            continue
-        kind = kinds[i]
-        cur = best.get(kind)
-        if cur is None or (d, i) < cur:
-            best[kind] = (d, i)
-    muav_nbr = best.get(MUAV, (0.0, None))[1]
-    cuav_nbr = best.get(CUAV, (0.0, None))[1]
-    return muav_nbr, cuav_nbr
+    d = uav_dists.copy()
+    np.fill_diagonal(d, np.inf)
+    if cfg.comm_radius is not None:
+        d[d > cfg.comm_radius] = np.inf
+    is_muav = np.arange(cfg.num_uavs) < cfg.num_muavs
+    table = np.empty((cfg.num_uavs, 2), dtype=np.int64)
+    for col, of_kind in enumerate((is_muav, ~is_muav)):
+        masked = np.where(of_kind, d, np.inf)
+        # an inf minimum means absent; argmin's first index breaks ties low
+        nearest = masked.argmin(axis=1)
+        table[:, col] = np.where(masked.min(axis=1) < np.inf, nearest, -1)
+    return table
 
 
 def build_local_graph(state: WorldState, u: int, observations) -> HeteroGraph:
     """Ego plus at most one neighbor per agent type; every neighbor has an
     edge into the ego."""
     cfg = state.config
-    ids = [u]
-    muav_nbr, cuav_nbr = local_neighbors(state, u, uav_distances(state))
-    for nbr in (muav_nbr, cuav_nbr):
-        if nbr is not None:
-            ids.append(nbr)
+    row = local_neighbors(state, uav_distances(state))[u]
+    ids = [u] + [int(i) for i in row if i >= 0]
     kinds = [cfg.kinds[i] for i in ids]
     feats = np.stack([local_node_feature(observations[i], kind, cfg)
                       for i, kind in zip(ids, kinds)])
@@ -145,25 +141,22 @@ def local_feature_batch(obs: np.ndarray, nbrs: np.ndarray, ego: int,
     """
     ego_kind = config.kinds[ego]
     node_kinds = local_template(config, ego_kind)
-    b = obs.shape[0]
-    width = local_feature_width(config)
-    n_nodes = len(node_kinds)
-    feats = np.zeros((b, n_nodes, width))
-    mask = np.zeros((b, n_nodes - 1), dtype=bool)
-
-    feats[:, 0, : obs.shape[2]] = obs[:, ego, :]
+    slot_kinds = node_kinds[1:]
+    b, _, w = obs.shape
+    feats = np.zeros((b, len(node_kinds), local_feature_width(config)))
+    feats[:, 0, :w] = obs[:, ego, :]
     feats[:, 0, -2:] = TYPE_ONE_HOT[ego_kind]
 
-    for slot, kind in enumerate(node_kinds[1:], start=1):
-        col = 0 if kind == MUAV else 1
-        idx = nbrs[:, ego, col]
-        present = idx >= 0
-        safe = np.where(present, idx, 0)
-        rows = obs[np.arange(b), safe, :]
-        rows = np.where(present[:, None], rows, 0.0)
-        feats[:, slot, : obs.shape[2]] = rows
-        feats[:, slot, -2:] = np.where(present[:, None], TYPE_ONE_HOT[kind], 0.0)
-        mask[:, slot - 1] = present
+    idx = nbrs[:, ego, [0 if kind == MUAV else 1 for kind in slot_kinds]]  # (B, S)
+    mask = idx >= 0
+    present = mask[:, :, None]
+    # an absent slot's -1 reads the last agent's row; np.where zeroes it
+    # (multiplying by the mask would leave -0.0 for negative entries)
+    rows = obs[np.arange(b)[:, None], idx]
+    feats[:, 1:, :w] = np.where(present, rows, 0.0)
+    # (S, 2), and (0, 2) for a template without neighbor slots
+    one_hot = np.array([TYPE_ONE_HOT[kind] for kind in slot_kinds]).reshape(-1, 2)
+    feats[:, 1:, -2:] = np.where(present, one_hot, 0.0)
     return feats, node_kinds, mask
 
 

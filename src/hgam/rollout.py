@@ -17,9 +17,8 @@ from .world import WorldState
 
 def joint_observation(state: WorldState, events: StepEvents | None = None
                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Every agent's observation padded to `max_obs_len` (U, W), and its
-    local-graph neighbors (U, 2): column 0 the nearest other MUAV, column 1
-    the nearest CUAV, -1 when absent.
+    """Every agent's observation padded to `max_obs_len` (U, W), and the
+    fleet's `local_neighbors` table (U, 2).
 
     `events` are those of the step that produced `state`; their sensing is
     reused. Without them (an episode's first state) the state is sensed
@@ -32,14 +31,10 @@ def joint_observation(state: WorldState, events: StepEvents | None = None
         poi_dists = events.poi_dists
     n = state.config.num_uavs
     obs = np.zeros((n, max_obs_len(state.config)))
-    nbrs = np.full((n, 2), -1, dtype=np.int64)
     for u in range(n):
         vec = observe(state, u, lasers, uav_dists, poi_dists)
         obs[u, : len(vec)] = vec
-        muav_nbr, cuav_nbr = local_neighbors(state, u, uav_dists)
-        nbrs[u, 0] = -1 if muav_nbr is None else muav_nbr
-        nbrs[u, 1] = -1 if cuav_nbr is None else cuav_nbr
-    return obs, nbrs
+    return obs, local_neighbors(state, uav_dists)
 
 
 def run_episode(state: WorldState, act, on_step=None, reads_obs: bool = True) -> dict:

@@ -38,7 +38,6 @@ class WorldConfig:
     charge_radius: float = 1.5
     view_range: float = 4.0
     uav_radius: float = 0.2
-    poi_radius: float = 0.1
     step_length: float = 0.13
     collect_rate: float = 0.2
     max_steps: int = 700
@@ -49,7 +48,6 @@ class WorldConfig:
     kappa: float = 1.0                # energy per unit distance travelled
     num_lasers: int = 16
     laser_warn_dist: float = 0.5
-    low_battery_frac: float = 0.2
     # reward weights
     w_c: float = 0.5
     w_l: float = 0.02
@@ -84,7 +82,7 @@ class WorldConfig:
     def validate(self) -> "WorldConfig":
         positive = [
             "area_width", "area_height", "sense_radius", "charge_radius",
-            "view_range", "uav_radius", "poi_radius", "step_length",
+            "view_range", "uav_radius", "step_length",
             "initial_energy", "e_max",
         ]
         for name in positive:
@@ -96,8 +94,6 @@ class WorldConfig:
             raise ConfigError("max_steps must be >= 1")
         if not 0.0 <= self.w_f <= 1.0:
             raise ConfigError("w_f must lie in [0, 1]")
-        if not 0.0 <= self.low_battery_frac <= 1.0:
-            raise ConfigError("low_battery_frac must lie in [0, 1]")
         for name in ("num_muavs", "num_cuavs", "num_pois", "num_obstacles", "num_lasers"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")

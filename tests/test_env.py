@@ -277,6 +277,23 @@ def test_non_finite_action_raises_before_state_changes(bad, row):
     assert s.ed.tobytes() == ed.tobytes()
 
 
+@pytest.mark.parametrize("bad", [
+    [np.zeros(3), np.zeros(1), np.zeros(2)],   # ragged rows
+    np.zeros((3, 4)),
+    [np.zeros(1)] * 3,
+    np.zeros((3, 2, 1)),
+    np.zeros((3, 1, 2)),
+], ids=["ragged", "3x4", "3x1", "3x2x1", "3x1x2"])
+def test_wrong_shaped_actions_raise_before_state_changes(bad):
+    s = generate_scenario(WorldConfig(), 1)
+    pos, velocity, ed = s.pos.copy(), s.velocity.copy(), s.ed.copy()
+    with pytest.raises(ContractError, match=r"shape \(3, 2\), got"):
+        step(s, bad)
+    assert s.pos.tobytes() == pos.tobytes() and s.t == 0 and not s.done
+    assert s.velocity.tobytes() == velocity.tobytes()
+    assert s.ed.tobytes() == ed.tobytes()
+
+
 def _depleting(cfg, muav_pos):
     """One MUAV with 0.1 energy left, which one full step (0.13) empties,
     and one CUAV out of its charge radius."""

@@ -268,10 +268,18 @@ def test_cli_no_gat_flag(tmp_path):
     rc = main(["train", "--config", str(world), "--train-config", str(trainc),
                "--seed", "1", "--out", str(out), "--no-gat"])
     assert rc == 0
-    rc = main(["evaluate", "--config", str(world), "--policy", "hgam",
-               "--no-gat", "--checkpoint", str(out / "checkpoint.hgam"),
+    rc = main(["evaluate", "--config", str(world), "--policy", "hgam_no_gat",
+               "--checkpoint", str(out / "checkpoint.hgam"),
                "--episodes", "1", "--seed", "0"])
     assert rc == 0
+
+
+@pytest.mark.parametrize("command", ["evaluate", "export-traj"])
+def test_no_gat_flag_only_on_train(command):
+    # `--policy hgam_no_gat` selects the ablation on evaluate/export-traj
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--policy", "hgam", "--no-gat", "--out", "unused"])
+    assert exc.value.code == 2
 
 
 def test_evaluate_requires_both_kinds():

@@ -153,3 +153,11 @@ def test_overlap_monotone_in_distance(d1, d2, r):
     a_near = overlap((0.0, 0.0), (lo, 0.0), r)
     a_far = overlap((0.0, 0.0), (hi, 0.0), r)
     assert a_near >= a_far - 1e-12
+
+
+@pytest.mark.parametrize("key", ["poi_radius", "low_battery_frac"])
+def test_config_file_rejects_deleted_keys(tmp_path, key):
+    p = tmp_path / "world.yaml"
+    p.write_text(f"{key}: 0.1\n")
+    with pytest.raises(ConfigError, match=key):
+        load_world_config(p)
