@@ -5,7 +5,7 @@ one world configuration and print a metrics table."""
 import argparse
 
 from hgam.harness import evaluate, make_policy
-from hgam.world import WorldConfig, load_world_config
+from hgam.world import WorldConfig, load_config
 
 METRICS = ("C", "omega", "upsilon", "D", "F")
 
@@ -15,15 +15,14 @@ def main():
     ap.add_argument("--config", help="world config yaml (defaults otherwise)")
     ap.add_argument("--episodes", type=int, default=20)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--checkpoint", help="also evaluate a trained policy")
-    ap.add_argument("--no-gat", action="store_true",
-                    help="evaluate the checkpoint with aggregation disabled")
+    ap.add_argument("--checkpoint", help="also evaluate a trained policy, "
+                    "with and without neighbor aggregation")
     args = ap.parse_args()
 
-    config = load_world_config(args.config) if args.config else WorldConfig()
+    config = load_config(WorldConfig, args.config) if args.config else WorldConfig()
     policies = ["random", "greedy"]
     if args.checkpoint:
-        policies.append("hgam_no_gat" if args.no_gat else "hgam")
+        policies += ["hgam", "hgam_no_gat"]
 
     rows = []
     for kind in policies:

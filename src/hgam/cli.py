@@ -4,30 +4,28 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .errors import HgamError
 from .harness import POLICY_KINDS, evaluate, make_policy
 from .neural import load_checkpoint
-from .training import TrainConfig, load_train_config, train
-from .world import WorldConfig, load_world_config
+from .training import TrainConfig, train
+from .world import WorldConfig, load_config
 
 
 def _world_config(args) -> WorldConfig:
-    if args.config:
-        return load_world_config(args.config)
-    return WorldConfig().validate()
+    return load_config(WorldConfig, args.config) if args.config else WorldConfig()
 
 
 def _train_config(args) -> TrainConfig:
-    cfg = load_train_config(args.train_config) if args.train_config else TrainConfig()
+    cfg = (load_config(TrainConfig, args.train_config) if args.train_config
+           else TrainConfig())
     overrides = {}
-    if getattr(args, "episodes", None) is not None:
+    if args.episodes is not None:
         overrides["max_episodes"] = args.episodes
-    if getattr(args, "no_gat", False):
+    if args.no_gat:
         overrides["use_gat"] = False
-    if overrides:
-        cfg = TrainConfig(**{**cfg.__dict__, **overrides})
-    return cfg.validate()
+    return replace(cfg, **overrides)
 
 
 def _cmd_train(args) -> int:

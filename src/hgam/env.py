@@ -63,8 +63,6 @@ class StepEvents:
     collided: np.ndarray                           # (U,) bool
     min_laser: np.ndarray                          # (U,)
     discovered: list[np.ndarray]                   # per MUAV, new PoI indices
-    terminated: bool
-    cause: str | None
     # sensing of the successor state, for its observations
     lasers: np.ndarray                             # (U, K) cast_lasers
     uav_dists: np.ndarray                          # (U, U) uav_distances
@@ -232,8 +230,6 @@ def step(state: WorldState, actions) -> tuple[WorldState, StepEvents]:
         collided=collided,
         min_laser=min_laser,
         discovered=discovered,
-        terminated=state.done,
-        cause=state.done_reason,
         lasers=lasers,
         uav_dists=uav_dists,
         poi_dists=poi_dists,
@@ -332,7 +328,7 @@ def observe(state: WorldState, u: int, lasers: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# trajectory export
+# CSV export
 
 TRAJ_COLUMNS = ["t", "uav_id", "kind", "x", "y", "Er", "Ec", "Ed",
                 "collected", "charged_to", "reward"]
@@ -344,22 +340,22 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_trajectory_csv(path, rows) -> None:
-    """rows: iterables matching TRAJ_COLUMNS; floats are written via repr for
-    byte-stable output."""
+def write_csv(path, columns, rows) -> None:
+    """A header of `columns`, then one line per row; floats are written via
+    repr for byte-stable output."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(TRAJ_COLUMNS)
+        writer.writerow(columns)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
 
 
+def write_trajectory_csv(path, rows) -> None:
+    """rows: iterables matching TRAJ_COLUMNS."""
+    write_csv(path, TRAJ_COLUMNS, rows)
+
+
 def write_poi_csv(path, state: WorldState) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["poi_id", "x", "y", "m0", "m_final"])
-        for p in range(len(state.poi_m0)):
-            writer.writerow([p, _fmt(float(state.poi_xy[p, 0])),
-                             _fmt(float(state.poi_xy[p, 1])),
-                             _fmt(float(state.poi_m0[p])),
-                             _fmt(float(state.poi_rem[p]))])
+    write_csv(path, ["poi_id", "x", "y", "m0", "m_final"],
+              zip(range(len(state.poi_m0)), state.poi_xy[:, 0],
+                  state.poi_xy[:, 1], state.poi_m0, state.poi_rem))

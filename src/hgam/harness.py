@@ -47,10 +47,6 @@ def greedy_policy(state: WorldState, u: int) -> np.ndarray:
     return direction / norm
 
 
-def random_policy(rng: np.random.Generator) -> np.ndarray:
-    return rng.uniform(-1.0, 1.0, size=2)
-
-
 class GreedyPolicy:
     name = "greedy"
     reads_obs = False   # acts on the state; the rollout skips observing
@@ -72,8 +68,8 @@ class RandomPolicy:
     def reset(self, episode_seed: int) -> None:
         self._rng = np.random.default_rng(np.random.SeedSequence((episode_seed, 1)))
 
-    def actions(self, state: WorldState, obs, nbrs) -> list[np.ndarray]:
-        return [random_policy(self._rng) for _ in range(state.config.num_uavs)]
+    def actions(self, state: WorldState, obs, nbrs) -> np.ndarray:
+        return self._rng.uniform(-1.0, 1.0, size=(state.config.num_uavs, 2))
 
 
 class ActorPolicy:
@@ -85,11 +81,6 @@ class ActorPolicy:
         self.name = "hgam" if actors[0].spec.use_gat else "hgam_no_gat"
         self.config = config
         self.actors = actors
-
-    @classmethod
-    def from_checkpoint(cls, checkpoint_path, config: WorldConfig,
-                        use_gat: bool = True) -> "ActorPolicy":
-        return cls(load_actor_networks(checkpoint_path, config, use_gat), config)
 
     def reset(self, episode_seed: int) -> None:
         pass
@@ -107,8 +98,8 @@ def make_policy(kind: str, config: WorldConfig, checkpoint=None):
     if kind in ("hgam", "hgam_no_gat"):
         if checkpoint is None:
             raise ConfigError(f"policy {kind!r} requires --checkpoint")
-        return ActorPolicy.from_checkpoint(checkpoint, config,
-                                           use_gat=(kind == "hgam"))
+        return ActorPolicy(load_actor_networks(checkpoint, config,
+                                               use_gat=(kind == "hgam")), config)
     raise ConfigError(f"unknown policy {kind!r}; expected one of {POLICY_KINDS}")
 
 

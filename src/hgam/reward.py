@@ -4,7 +4,6 @@ flags an MUAV stuck revisiting the same patch."""
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,31 +91,15 @@ def cuav_reward(state: WorldState, events: StepEvents, c: int,
     return RewardBreakdown(h, iota, pl, pb, h - iota - pl - pb)
 
 
-class DilemmaWindow:
-    """Ring buffer of an MUAV's recent positions."""
-
-    def __init__(self, size: int = DILEMMA_WINDOW):
-        self.size = size
-        self._buf: deque = deque(maxlen=size)
-
-    def push(self, pos) -> None:
-        self._buf.append(np.asarray(pos, dtype=float).copy())
-
-    def positions(self) -> list[np.ndarray]:
-        return list(self._buf)
-
-    def __len__(self) -> int:
-        return len(self._buf)
-
-
-def detect_dilemma(window: DilemmaWindow, sense_radius: float) -> bool:
-    """True when the sensing disk at the window's oldest position overlaps
-    some later position more than it overlaps its immediate successor,
-    i.e. the UAV curled back instead of moving on. Strict comparison, so a
-    stationary UAV does not trigger."""
-    pts = window.positions()
-    if len(pts) < 3:
+def detect_dilemma(window, sense_radius: float) -> bool:
+    """True when the sensing disk at the oldest of an MUAV's recent
+    positions `window` (oldest first) overlaps some later position more
+    than it overlaps its immediate successor, i.e. the UAV curled back
+    instead of moving on. Strict comparison, so a stationary UAV does not
+    trigger."""
+    if len(window) < 3:
         return False
-    dists = norms(pts[0] - np.array(pts[1:])).tolist()
+    pts = np.array(window)
+    dists = norms(pts[0] - pts[1:]).tolist()
     base = lens_area(dists[0], sense_radius)
     return any(lens_area(d, sense_radius) > base for d in dists[1:])

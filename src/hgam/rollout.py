@@ -4,13 +4,15 @@ observation every actor acts on, the one episode loop, and its bookkeeping
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 
 from .env import (StepEvents, cast_lasers, max_obs_len, observe,
                   poi_distances, step, uav_distances)
 from .hetgraph import local_neighbors
 from .metrics import EpisodeLog, compute_all
-from .reward import (DilemmaWindow, RewardBreakdown, cuav_reward,
+from .reward import (DILEMMA_WINDOW, RewardBreakdown, cuav_reward,
                      detect_dilemma, muav_reward)
 from .world import WorldState
 
@@ -51,7 +53,6 @@ def run_episode(state: WorldState, act, on_step=None, reads_obs: bool = True) ->
     otherwise the loop observes it, and never once the episode is done.
     """
     tracker = EpisodeTracker(state)
-    reward_sums = np.zeros(state.config.num_uavs)
     joint = events = None
     while not state.done:
         if joint is None:
@@ -61,11 +62,11 @@ def run_episode(state: WorldState, act, on_step=None, reads_obs: bool = True) ->
         t = state.t
         _, events = step(state, actions)
         rewards = np.array([bd.total for bd in tracker.after_step(state, events)])
-        reward_sums += rewards
         joint = None if on_step is None else on_step(
             state, t, obs, nbrs, actions, rewards, events)
     row = dict(compute_all(tracker.episode_log(state)))
     m = state.num_muavs
+    reward_sums = tracker.component_totals[:, 4]
     row["reward_muav_mean"] = float(np.mean(reward_sums[:m]))
     row["reward_cuav_mean"] = float(np.mean(reward_sums[m:]))
     row["reward_components"] = tracker.reward_components()
@@ -78,9 +79,9 @@ class EpisodeTracker:
     def __init__(self, state: WorldState):
         self.config = state.config
         m = state.num_muavs
-        self.windows = [DilemmaWindow() for _ in range(m)]
-        for w, pos in zip(self.windows, state.pos[:m]):
-            w.push(pos)
+        # each MUAV's recent positions, oldest first
+        self.windows = [deque([pos.copy()], maxlen=DILEMMA_WINDOW)
+                        for pos in state.pos[:m]]
         self.active_steps = np.zeros(state.num_cuavs, dtype=np.int64)
         n = state.config.num_uavs
         self.component_totals = np.zeros((n, 5))  # h, iota, pl, pb, total
@@ -90,7 +91,7 @@ class EpisodeTracker:
         cfg = self.config
         breakdowns: list[RewardBreakdown] = []
         for m in range(state.num_muavs):
-            self.windows[m].push(state.pos[m])
+            self.windows[m].append(state.pos[m].copy())
             dilemma = detect_dilemma(self.windows[m], cfg.sense_radius)
             breakdowns.append(muav_reward(events, dilemma, m, cfg))
         for ci in range(state.num_cuavs):

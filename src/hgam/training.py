@@ -4,13 +4,12 @@ shared critic per agent type, and soft target syncs."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .env import max_obs_len
+from .env import max_obs_len, write_csv
 from .errors import CheckpointError, ConfigError, ContractError
 from .hetgraph import (global_action_slice, global_feature_batch,
                        global_feature_width, local_feature_batch,
@@ -19,8 +18,7 @@ from .neural import (LINEAR, TANH, NetSpec, Network, adam_step, backward,
                      forward, network_from_tensors, network_tensors,
                      save_checkpoint)
 from .rollout import joint_observation, run_episode
-from .world import WorldConfig, _config_from_mapping, _load_flat_mapping, \
-    generate_scenario
+from .world import WorldConfig, check_field_types, generate_scenario
 
 PRIORITY_EPS = 1e-4
 
@@ -43,7 +41,8 @@ class TrainConfig:
     max_episodes: int = 500
     use_gat: bool = True
 
-    def validate(self) -> "TrainConfig":
+    def __post_init__(self):
+        check_field_types(self)
         if not 0.0 <= self.gamma < 1.0:
             raise ConfigError("gamma must lie in [0, 1)")
         if not 0.0 < self.tau <= 1.0:
@@ -58,12 +57,6 @@ class TrainConfig:
             raise ConfigError("e_min must be >= 0 and max_episodes >= 1")
         if self.per_alpha < 0:
             raise ConfigError("per_alpha must be >= 0")
-        return self
-
-
-def load_train_config(path) -> TrainConfig:
-    cfg = _config_from_mapping(TrainConfig, _load_flat_mapping(path), str(path))
-    return cfg.validate()
 
 
 # ---------------------------------------------------------------------------
@@ -178,19 +171,6 @@ def nstep_return(rewards, gamma: float, n: int):
     return lam, count
 
 
-@dataclass
-class Transition:
-    obs: np.ndarray        # (U, W) padded joint observation
-    actions: np.ndarray    # (U, 2)
-    rewards: np.ndarray    # (U,)
-    next_obs: np.ndarray   # (U, W)
-    done: bool
-    episode: int
-    step: int
-    nbrs: np.ndarray       # (U, 2) local-graph neighbor indices, -1 = absent
-    next_nbrs: np.ndarray
-
-
 class ReplayStore:
     """Ring buffer of joint transitions shared by all per-agent trees."""
 
@@ -208,17 +188,21 @@ class ReplayStore:
         self.size = 0
         self.cursor = 0
 
-    def add(self, tr: Transition) -> int:
+    def add(self, *, obs, actions, rewards, next_obs, done, episode, step,
+            nbrs, next_nbrs) -> int:
+        """Store one joint transition: padded observations (U, W), actions
+        (U, 2), rewards (U,) and neighbor rows (U, 2) (-1 = absent) of the
+        step with index `step` of `episode`. Returns its slot."""
         i = self.cursor
-        self.obs[i] = tr.obs
-        self.next_obs[i] = tr.next_obs
-        self.actions[i] = tr.actions
-        self.rewards[i] = tr.rewards
-        self.done[i] = tr.done
-        self.episode[i] = tr.episode
-        self.step[i] = tr.step
-        self.nbrs[i] = tr.nbrs
-        self.next_nbrs[i] = tr.next_nbrs
+        self.obs[i] = obs
+        self.next_obs[i] = next_obs
+        self.actions[i] = actions
+        self.rewards[i] = rewards
+        self.done[i] = done
+        self.episode[i] = episode
+        self.step[i] = step
+        self.nbrs[i] = nbrs
+        self.next_nbrs[i] = next_nbrs
         self.cursor = (i + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
         return i
@@ -332,8 +316,6 @@ def actor_update(actor: Network, critic: Network,
 class Trainer:
     def __init__(self, world_config: WorldConfig, train_config: TrainConfig,
                  seed: int):
-        world_config.validate()
-        train_config.validate()
         self.wc = world_config
         self.tc = train_config
         self.seed = seed
@@ -451,10 +433,10 @@ class Trainer:
             # the transition stores the successor, terminal or not, which
             # the next action then reuses
             next_obs, next_nbrs = joint_observation(state, events)
-            slot = self.store.add(Transition(
+            slot = self.store.add(
                 obs=obs, actions=actions, rewards=rewards, next_obs=next_obs,
                 done=state.done, episode=episode, step=t, nbrs=nbrs,
-                next_nbrs=next_nbrs))
+                next_nbrs=next_nbrs)
             for tree in self.trees:
                 tree.set(slot, self.insert_priority(tree))
             loss = self.update(episode, t)
@@ -512,14 +494,7 @@ TRAIN_COLUMNS = ["episode", "steps", "reward_muav_mean", "reward_cuav_mean",
 
 
 def write_training_csv(path, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRAIN_COLUMNS)
-        for row in rows:
-            writer.writerow([
-                repr(float(row[c])) if isinstance(row[c], float) else str(row[c])
-                for c in TRAIN_COLUMNS
-            ])
+    write_csv(path, TRAIN_COLUMNS, ([row[c] for c in TRAIN_COLUMNS] for row in rows))
 
 
 def train(world_config: WorldConfig, train_config: TrainConfig, seed: int,

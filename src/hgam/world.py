@@ -8,6 +8,7 @@ obstacles span all altitudes.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -79,7 +80,8 @@ class WorldConfig:
             return math.hypot(self.area_width, self.area_height)
         return self.view_range
 
-    def validate(self) -> "WorldConfig":
+    def __post_init__(self):
+        check_field_types(self)
         positive = [
             "area_width", "area_height", "sense_radius", "charge_radius",
             "view_range", "uav_radius", "step_length",
@@ -101,7 +103,25 @@ class WorldConfig:
             raise ConfigError("num_lasers must be >= 1")
         if self.comm_radius is not None and self.comm_radius <= 0:
             raise ConfigError("comm_radius must be > 0 when set")
-        return self
+
+
+# The values each annotation in a config dataclass admits. A bool is also an
+# `Integral` and a `Real`, so it is accepted only where the annotation is `bool`.
+_FIELD_TYPES = {"float": numbers.Real, "int": numbers.Integral, "bool": bool}
+
+
+def check_field_types(config) -> None:
+    """Raise ConfigError unless every field of the config dataclass holds a
+    value of its annotated type (`float`, `int` or `bool`; `X | None` also
+    admits None)."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        kind, _, optional = f.type.partition(" | ")
+        if value is None and optional == "None":
+            continue
+        if isinstance(value, bool) != (kind == "bool") \
+                or not isinstance(value, _FIELD_TYPES[kind]):
+            raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
 
 
 @dataclass
@@ -156,7 +176,6 @@ def generate_scenario(config: WorldConfig, seed: int) -> WorldState:
     Draw order is fixed: PoI positions, PoI data volumes, UAV positions,
     then obstacles (rejection-sampled so none overlaps a UAV start disk).
     """
-    config.validate()
     rng = np.random.default_rng(seed)
     w, h = config.area_width, config.area_height
 
@@ -209,29 +228,20 @@ def lens_area(d: float, r: float) -> float:
     return 2.0 * r * r * math.acos(d / (2.0 * r)) - 0.5 * d * math.sqrt(4.0 * r * r - d * d)
 
 
-def _load_flat_mapping(path) -> dict:
+def load_config(cls, path):
+    """Read a `WorldConfig` or `TrainConfig` from a flat YAML mapping;
+    unknown keys are fatal, missing keys keep their defaults."""
     with open(path, "r", encoding="utf-8") as fh:
         data = yaml.safe_load(fh)
     if data is None:
-        return {}
+        data = {}
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected a flat key/value mapping")
-    return data
-
-
-def _config_from_mapping(cls, data: dict, source: str):
-    known = {f.name for f in fields(cls)}
-    unknown = sorted(set(data) - known)
+    # key=str: YAML keys need not be strings, nor of one type
+    unknown = sorted(set(data) - {f.name for f in fields(cls)}, key=str)
     if unknown:
-        raise ConfigError(f"{source}: unknown keys {unknown}")
+        raise ConfigError(f"{path}: unknown keys {unknown}")
     try:
         return cls(**data)
-    except TypeError as exc:
-        raise ConfigError(f"{source}: {exc}") from exc
-
-
-def load_world_config(path) -> WorldConfig:
-    """Read a WorldConfig from a flat yaml file; unknown keys are fatal,
-    missing keys fall back to the defaults."""
-    cfg = _config_from_mapping(WorldConfig, _load_flat_mapping(path), str(path))
-    return cfg.validate()
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc

@@ -22,7 +22,7 @@ from conftest import (branch_signature, build_state, forward_graph,
 from hgam.cli import main as cli_main
 from hgam.env import step
 from hgam.harness import ActorPolicy, GreedyPolicy, RandomPolicy, evaluate, \
-    greedy_policy
+    greedy_policy, make_policy
 from hgam.hetgraph import build_global_graph, build_local_graph
 from hgam.metrics import compute_all, jain_index
 from hgam.neural import Network, backward, forward
@@ -386,7 +386,7 @@ def test_criterion_10_checkpoint(tmp_path):
     evaluate(live, wc, 3, seed=5, out_dir=tmp_path / "before")
     ckpt = tmp_path / "checkpoint.hgam"
     trainer.save(ckpt)
-    restored = ActorPolicy.from_checkpoint(ckpt, wc)
+    restored = make_policy("hgam", wc, ckpt)
     evaluate(restored, wc, 3, seed=5, out_dir=tmp_path / "after")
 
     before = (tmp_path / "before/evaluation_report.json").read_bytes()

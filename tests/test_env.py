@@ -250,9 +250,8 @@ def test_max_steps_terminates():
     cfg = WorldConfig(num_cuavs=0, num_muavs=1, num_obstacles=0, max_steps=3)
     s = build_state(cfg, [(8.0, 8.0)])
     for _ in range(3):
-        _, ev = step(s, _idle(1))
+        step(s, _idle(1))
     assert s.done and s.done_reason == "max_steps"
-    assert ev.terminated
 
 
 def test_step_after_done_raises():
@@ -305,9 +304,9 @@ def _depleting(cfg, muav_pos):
 def test_energy_depletion_ends_episode():
     cfg = WorldConfig(num_muavs=1, num_cuavs=1, num_obstacles=0, num_pois=0)
     s = _depleting(cfg, (8.0, 8.0))
-    _, ev = step(s, [np.array([1.0, 0.0]), np.zeros(2)])
+    step(s, [np.array([1.0, 0.0]), np.zeros(2)])
     assert s.er[0] <= 0.0
-    assert s.done and s.done_reason == ev.cause == "energy"
+    assert s.done and s.done_reason == "energy"
 
 
 def test_collision_outranks_depletion_in_one_step():
@@ -315,16 +314,16 @@ def test_collision_outranks_depletion_in_one_step():
     s = _depleting(cfg, (0.25, 8.0))
     _, ev = step(s, [np.array([-1.0, 0.0]), np.zeros(2)])
     assert ev.collided[0] and s.er[0] <= 0.0
-    assert s.done and s.done_reason == ev.cause == "collision"
+    assert s.done and s.done_reason == "collision"
 
 
 def test_depletion_on_the_last_step_reports_energy():
     cfg = WorldConfig(num_muavs=1, num_cuavs=1, num_obstacles=0, num_pois=0,
                       max_steps=1)
     s = _depleting(cfg, (8.0, 8.0))
-    _, ev = step(s, [np.array([1.0, 0.0]), np.zeros(2)])
+    step(s, [np.array([1.0, 0.0]), np.zeros(2)])
     assert s.t == cfg.max_steps
-    assert s.done and s.done_reason == ev.cause == "energy"
+    assert s.done and s.done_reason == "energy"
 
 
 @pytest.mark.parametrize("ed0", [0.7, 0.3])

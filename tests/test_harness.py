@@ -9,7 +9,7 @@ from hgam.cli import main
 from hgam.env import step
 from hgam.errors import ConfigError
 from hgam.harness import (ActorPolicy, GreedyPolicy, RandomPolicy, evaluate,
-                          greedy_policy, make_policy, random_policy)
+                          greedy_policy, make_policy)
 from hgam.hetgraph import local_feature_batch
 from hgam.neural import forward
 from hgam.rollout import joint_observation
@@ -42,17 +42,24 @@ def test_greedy_cuav_tracks_lowest_battery():
     assert greedy_policy(s, 2) == pytest.approx([0.0, 0.0])
 
 
+def random_actions(num_uavs, seed, calls=1):
+    """`calls` joint actions of a RandomPolicy reset to `seed`, stacked."""
+    state = generate_scenario(WorldConfig(num_muavs=num_uavs, num_cuavs=0,
+                                          num_pois=0, num_obstacles=0), 0)
+    policy = RandomPolicy()
+    policy.reset(seed)
+    return np.concatenate([policy.actions(state, None, None) for _ in range(calls)])
+
+
 def test_random_policy_range_and_determinism():
-    rng = np.random.default_rng(3)
-    acts = np.array([random_policy(rng) for _ in range(1000)])
+    acts = random_actions(3, seed=3, calls=334)
     assert np.all(acts >= -1.0) and np.all(acts <= 1.0)
-    again = np.array([random_policy(np.random.default_rng(3)) for _ in range(1)])
+    again = random_actions(3, seed=3)
     assert np.array_equal(acts[0], again[0])
 
 
 def test_random_policy_mean_statistics():
-    rng = np.random.default_rng(99)
-    draws = rng.uniform(-1.0, 1.0, size=(500_000, 2))
+    draws = random_actions(500_000, seed=99)
     se = (1.0 / np.sqrt(3.0)) / np.sqrt(draws.size)
     assert abs(draws.mean()) < 4 * se
 
@@ -244,6 +251,33 @@ def test_cli_exit_codes(tmp_path):
     garbled = tmp_path / "garbled.hgam"
     garbled.write_bytes(b"NOTHGAM")
     assert main(["inspect-checkpoint", "--checkpoint", str(garbled)]) == 3
+
+
+@pytest.mark.parametrize("command, line", [
+    ("evaluate", "area_width: abc"),
+    ("evaluate", "comm_radius: near"),
+    ("evaluate", "num_muavs: 1.5"),
+    ("evaluate", "num_pois: true"),
+    ("evaluate", "max_steps: 10.5"),
+    ("evaluate", 'global_view: "yes"'),
+    ("train", "batch_size: many"),
+    ("train", "gamma: null"),
+    ("train", "lr_critic: 1e-3"),   # YAML 1.1 reads this as a string
+])
+def test_cli_rejects_ill_typed_config_values(tmp_path, capsys, command, line):
+    world, _ = write_mini_configs(tmp_path)
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(line + "\n")
+    out = tmp_path / "run"
+    if command == "evaluate":
+        argv = ["evaluate", "--config", str(bad), "--episodes", "1"]
+    else:
+        argv = ["train", "--config", str(world), "--train-config", str(bad),
+                "--episodes", "2", "--out", str(out)]
+    assert main(argv) == 2
+    field = line.partition(":")[0]
+    assert f"error: {bad}: {field} must be" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_export_traj_and_inspect(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import build_state
 from hgam.env import ChargeOutcome, StepEvents, step, uav_distances
-from hgam.reward import (DilemmaWindow, cuav_hierarchical_penalty,
+from hgam.reward import (DILEMMA_WINDOW, cuav_hierarchical_penalty,
                          cuav_neglect_penalty, cuav_reward, detect_dilemma,
                          fairness_factor, muav_reward)
 from hgam.world import WorldConfig
@@ -24,8 +25,6 @@ def make_events(num_muavs=2, num_uavs=3, collected=None, dist=None,
         collided=np.zeros(num_uavs, dtype=bool) if collided is None else np.asarray(collided),
         min_laser=np.full(num_uavs, 4.0) if min_laser is None else np.asarray(min_laser, dtype=float),
         discovered=discovered if discovered is not None else [np.zeros(0, int)] * num_muavs,
-        terminated=False,
-        cause=None,
         lasers=np.full((num_uavs, 16), 4.0),
         uav_dists=np.zeros((num_uavs, num_uavs)) if uav_dists is None else uav_dists,
         poi_dists=np.zeros((num_muavs, 0)),
@@ -177,10 +176,7 @@ def test_cuav_reward_collision_penalty_applies():
 # --- dilemma detection -----------------------------------------------------------
 
 def fill_window(points):
-    w = DilemmaWindow()
-    for p in points:
-        w.push(p)
-    return w
+    return deque((np.asarray(p, dtype=float) for p in points), maxlen=DILEMMA_WINDOW)
 
 
 def test_dilemma_straight_line_false():
@@ -206,7 +202,7 @@ def test_dilemma_short_window_false():
 def test_dilemma_window_caps_at_ten():
     w = fill_window([(k, 0) for k in range(25)])
     assert len(w) == 10
-    assert w.positions()[0] == pytest.approx([15.0, 0.0])
+    assert w[0] == pytest.approx([15.0, 0.0])
 
 
 @settings(max_examples=60)

@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,11 +12,11 @@ from hgam.errors import CheckpointError, ConfigError, ContractError
 from hgam.hetgraph import global_feature_width
 from hgam.neural import LINEAR, NetSpec, Network, forward
 from hgam.training import (PRIORITY_EPS, ReplayStore, SumTree, TrainConfig,
-                           Trainer, Transition, actor_spec, actor_update,
-                           critic_spec, critic_target_values, critic_update,
-                           exploration_noise, load_train_config, nstep_return,
+                           Trainer, actor_spec, actor_update, critic_spec,
+                           critic_target_values, critic_update,
+                           exploration_noise, nstep_return,
                            priorities, soft_update, train)
-from hgam.world import CUAV, MUAV, WorldConfig
+from hgam.world import CUAV, MUAV, WorldConfig, load_config
 
 
 # --- n-step returns -----------------------------------------------------------
@@ -229,12 +230,12 @@ def store_with_episode(num_steps, capacity=16, done_at=None):
     store = ReplayStore(capacity, num_agents=2, obs_width=4)
     for k in range(num_steps):
         done = (done_at is not None and k == done_at)
-        store.add(Transition(
+        store.add(
             obs=np.full((2, 4), float(k)), actions=np.zeros((2, 2)),
             rewards=np.array([float(k + 1), 10.0 * (k + 1)]),
             next_obs=np.full((2, 4), float(k + 1)), done=done,
             episode=1, step=k, nbrs=np.zeros((2, 2), dtype=np.int64),
-            next_nbrs=np.zeros((2, 2), dtype=np.int64)))
+            next_nbrs=np.zeros((2, 2), dtype=np.int64))
     return store
 
 
@@ -259,28 +260,23 @@ def test_chain_respects_episode_boundary():
     store = ReplayStore(16, 2, 4)
     for ep in (1, 2):
         for k in range(3):
-            store.add(Transition(np.zeros((2, 4)), np.zeros((2, 2)),
-                                 np.array([1.0, 1.0]), np.zeros((2, 4)),
-                                 False, ep, k, np.zeros((2, 2), np.int64),
-                                 np.zeros((2, 2), np.int64)))
+            store.add(obs=np.zeros((2, 4)), actions=np.zeros((2, 2)),
+                      rewards=np.array([1.0, 1.0]), next_obs=np.zeros((2, 4)),
+                      done=False, episode=ep, step=k,
+                      nbrs=np.zeros((2, 2), np.int64),
+                      next_nbrs=np.zeros((2, 2), np.int64))
     oks, js, count, boot, terminal = store.chain(np.array([1]), 3)
     assert count[0] == 2          # steps 1,2 of episode 1 only
     assert boot[0] == 2
 
 
 def test_chain_detects_ring_overwrite():
-    store = store_with_episode(6, capacity=4)  # slots hold steps 2..5
-    # index 2 holds step 2? capacity 4: cursor wrapped; slot 2 holds step 2+4=6? build explicit:
-    # steps 0..5 into capacity 4 -> slots [4,5,2,3]; chain from slot 2 (step 2):
-    oks, js, count, boot, terminal = store.chain(np.array([2]), 3)
-    assert count[0] >= 1          # at least itself
-    # successor slot 3 holds step 3 (valid); slot 0 holds step 4 -> wrapped:
-    # slot 0 actually holds step 4, which is step 2 + 2 -> chain may continue;
-    # the guarantee is only that included steps are consecutive same-episode
-    for k in range(3):
-        if oks[k, 0]:
-            j = js[k, 0]
-            assert store.episode[j] == 1 and store.step[j] == 2 + k
+    store = store_with_episode(6, capacity=4)  # slots hold steps 4, 5, 2, 3
+    # slot 1 holds step 5; the slot after it holds the older step 2 of the
+    # same episode, which must not extend the chain
+    oks, js, count, boot, terminal = store.chain(np.array([1]), 3)
+    assert count[0] == 1
+    assert boot[0] == 1
 
 
 def test_buffer_fifo_capacity():
@@ -448,21 +444,28 @@ def test_actor_update_objective_is_mean_q_and_dqda_matches_fd():
 
 def test_train_config_validation():
     with pytest.raises(ConfigError):
-        TrainConfig(gamma=1.0).validate()
+        TrainConfig(gamma=1.0)
     with pytest.raises(ConfigError):
-        TrainConfig(tau=0.0).validate()
+        TrainConfig(tau=0.0)
     with pytest.raises(ConfigError):
-        TrainConfig(n_step=0).validate()
+        TrainConfig(n_step=0)
+
+
+def test_train_config_replace_checks_again():
+    with pytest.raises(ConfigError, match="max_episodes"):
+        replace(TrainConfig(), max_episodes=0)
+    with pytest.raises(ConfigError, match="use_gat must be bool"):
+        replace(TrainConfig(), use_gat=0)
 
 
 def test_train_config_file(tmp_path):
     p = tmp_path / "train.yaml"
     p.write_text("gamma: 0.9\nmax_episodes: 3\n")
-    tc = load_train_config(p)
+    tc = load_config(TrainConfig, p)
     assert tc.gamma == 0.9 and tc.max_episodes == 3 and tc.tau == 0.01
     p.write_text("nope: 1\n")
     with pytest.raises(ConfigError):
-        load_train_config(p)
+        load_config(TrainConfig, p)
 
 
 def quick_configs(**overrides):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from hgam.errors import ConfigError, InfeasibleScenarioError
 from hgam.world import (CUAV, MUAV, WorldConfig, generate_scenario, lens_area,
-                        load_world_config, norms)
+                        load_config, norms)
 
 
 def test_default_scenario_counts():
@@ -75,19 +76,31 @@ def test_infeasible_placement_raises():
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        WorldConfig(step_length=0.0).validate()
+        WorldConfig(step_length=0.0)
     with pytest.raises(ConfigError):
-        WorldConfig(view_range=0.5, sense_radius=1.0).validate()
+        WorldConfig(view_range=0.5, sense_radius=1.0)
     with pytest.raises(ConfigError):
-        WorldConfig(w_f=1.5).validate()
+        WorldConfig(w_f=1.5)
     with pytest.raises(ConfigError):
-        WorldConfig(max_steps=0).validate()
+        WorldConfig(max_steps=0)
+
+
+def test_config_types_follow_annotations():
+    cfg = WorldConfig(area_width=8, num_pois=np.int64(5),
+                      sense_radius=np.float64(0.5), comm_radius=None)
+    assert cfg.area_width == 8 and cfg.num_pois == 5
+    for name, bad in (("area_width", True), ("num_pois", 5.0),
+                      ("global_view", 1), ("comm_radius", "6")):
+        with pytest.raises(ConfigError, match=f"{name} must be"):
+            WorldConfig(**{name: bad})
+    with pytest.raises(ConfigError, match="num_pois must be >= 0"):
+        replace(WorldConfig(), num_pois=-1)
 
 
 def test_config_file_roundtrip(tmp_path):
     p = tmp_path / "world.yaml"
     p.write_text("area_width: 8\narea_height: 8\nnum_pois: 20\n")
-    cfg = load_world_config(p)
+    cfg = load_config(WorldConfig, p)
     assert cfg.area_width == 8 and cfg.num_pois == 20
     assert cfg.num_muavs == 2  # default preserved
 
@@ -96,7 +109,10 @@ def test_config_file_unknown_key(tmp_path):
     p = tmp_path / "world.yaml"
     p.write_text("area_width: 8\nnot_a_field: 1\n")
     with pytest.raises(ConfigError, match="not_a_field"):
-        load_world_config(p)
+        load_config(WorldConfig, p)
+    p.write_text("1: 2\nnot_a_field: 1\n")
+    with pytest.raises(ConfigError, match=r"unknown keys \[1, 'not_a_field'\]"):
+        load_config(WorldConfig, p)
 
 
 def test_global_view_widens_fov():
@@ -160,4 +176,4 @@ def test_config_file_rejects_deleted_keys(tmp_path, key):
     p = tmp_path / "world.yaml"
     p.write_text(f"{key}: 0.1\n")
     with pytest.raises(ConfigError, match=key):
-        load_world_config(p)
+        load_config(WorldConfig, p)
