@@ -330,10 +330,6 @@ def observe(state: WorldState, u: int, lasers: np.ndarray,
 # ---------------------------------------------------------------------------
 # CSV export
 
-TRAJ_COLUMNS = ["t", "uav_id", "kind", "x", "y", "Er", "Ec", "Ed",
-                "collected", "charged_to", "reward"]
-
-
 def _fmt(value) -> str:
     if isinstance(value, float) or isinstance(value, np.floating):
         return repr(float(value))
@@ -348,11 +344,6 @@ def write_csv(path, columns, rows) -> None:
         writer.writerow(columns)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
-
-
-def write_trajectory_csv(path, rows) -> None:
-    """rows: iterables matching TRAJ_COLUMNS."""
-    write_csv(path, TRAJ_COLUMNS, rows)
 
 
 def write_poi_csv(path, state: WorldState) -> None:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .env import write_poi_csv, write_trajectory_csv
+from .env import write_csv, write_poi_csv
 from .errors import ConfigError
 from .rollout import run_episode
 from .training import actor_actions, load_actor_networks
@@ -86,8 +86,8 @@ class ActorPolicy:
         pass
 
     def actions(self, state: WorldState, obs, nbrs) -> np.ndarray:
-        out = actor_actions(self.actors, self.config, obs[None], nbrs[None])[0]
-        return np.clip(out, -1.0, 1.0)
+        # the tanh head keeps every action in [-1, 1]
+        return actor_actions(self.actors, self.config, obs[None], nbrs[None])[0]
 
 
 def make_policy(kind: str, config: WorldConfig, checkpoint=None):
@@ -105,6 +105,9 @@ def make_policy(kind: str, config: WorldConfig, checkpoint=None):
 
 METRIC_KEYS = ("C", "omega", "upsilon", "D", "F", "C_times_omega", "D_times_F",
                "episode_len")
+# one trajectory row per UAV and step, as `evaluate`'s `record` builds them
+TRAJ_COLUMNS = ["t", "uav_id", "kind", "x", "y", "Er", "Ec", "Ed",
+                "collected", "charged_to", "reward"]
 
 
 def evaluate(policy, world_config: WorldConfig, episodes: int, seed: int,
@@ -144,7 +147,7 @@ def evaluate(policy, world_config: WorldConfig, episodes: int, seed: int,
         row["seed"] = seed + i
         rows.append(row)
         if export_traj and out is not None:
-            write_trajectory_csv(out / f"trajectory_ep{i:04d}.csv", traj_rows)
+            write_csv(out / f"trajectory_ep{i:04d}.csv", TRAJ_COLUMNS, traj_rows)
             write_poi_csv(out / f"pois_ep{i:04d}.csv", state)
             components = {"episode_seed": seed + i,
                           "per_agent": row["reward_components"]}

@@ -160,7 +160,6 @@ class Tape:
     kinds: tuple
     ego: int
     nbr_idx: np.ndarray          # node indices of the neighbors
-    mask: np.ndarray | None      # (B, n-1) neighbor presence
     x: list                      # per run: encoder input rows
     s1: list                     # per run: first encoder layer slopes
     a1: list                     # per run: first encoder layer activations
@@ -219,14 +218,12 @@ def forward(net: Network, feats: np.ndarray, kinds, ego: int,
         e_logits += (wh[:, ego, :] @ a_dst)[:, None]
         se = _slope_mask(e_logits, LRELU_ATTN)
         el = e_logits * se
-        if mask is None:
-            top = el.max(axis=1, keepdims=True)
-            ex = np.exp(el - top)
-        else:
-            shifted = np.where(mask, el, -np.inf)
-            top = shifted.max(axis=1, keepdims=True)
-            top = np.where(np.isfinite(top), top, 0.0)
-            ex = np.where(mask, np.exp(el - top), 0.0)
+        # absent slots get exactly zero weight; with every slot absent the
+        # row's weights and aggregate are zero
+        present = True if mask is None else mask
+        top = np.where(present, el, -np.inf).max(axis=1, keepdims=True)
+        top = np.where(np.isfinite(top), top, 0.0)
+        ex = np.where(present, np.exp(el - top), 0.0)
         denom = ex.sum(axis=1, keepdims=True)
         alpha = np.divide(ex, denom, out=np.zeros_like(ex), where=denom > 0)
         g = np.einsum("bk,bke->be", alpha, wh_nbr)
@@ -241,7 +238,7 @@ def forward(net: Network, feats: np.ndarray, kinds, ego: int,
     if spec.out_activation == TANH:
         np.tanh(out, out=out)
 
-    return Tape(feats, kinds, ego, nbr_idx, mask, xs, s1, a1, s2, h,
+    return Tape(feats, kinds, ego, nbr_idx, xs, s1, a1, s2, h,
                 wh, se, alpha, g, x_head, s3, z3, out)
 
 

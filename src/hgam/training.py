@@ -21,6 +21,7 @@ from .rollout import joint_observation, run_episode
 from .world import WorldConfig, check_field_types, generate_scenario
 
 PRIORITY_EPS = 1e-4
+CHECKPOINT_INTERVAL = 100   # episodes between numbered checkpoints in Trainer.run
 
 
 @dataclass(frozen=True)
@@ -160,15 +161,14 @@ def priorities(deltas, alpha: float, eps: float = PRIORITY_EPS) -> np.ndarray:
     return (np.abs(deltas) + eps) ** alpha
 
 
-def nstep_return(rewards, gamma: float, n: int):
-    """Discounted sum of up to n leading rewards; returns (partial return,
-    number of rewards actually summed)."""
-    lam = 0.0
-    count = 0
-    for k, r in enumerate(rewards[:n]):
-        lam += (gamma ** k) * float(r)
-        count += 1
-    return lam, count
+def nstep_return(rewards: np.ndarray, oks: np.ndarray, gamma: float) -> np.ndarray:
+    """Truncated n-step returns sum_k gamma^k r_k over the steps k of each
+    column where `oks` (n, B) holds, for rewards (n, B). The terms are added
+    in order of k at every batch size (a cumulative sum; `np.sum` would sum
+    a single column pairwise)."""
+    discounts = np.power(gamma, np.arange(len(rewards)))
+    terms = np.where(oks, rewards, 0.0) * discounts[:, None]
+    return np.cumsum(terms, axis=0)[-1]
 
 
 class ReplayStore:
@@ -388,12 +388,10 @@ class Trainer:
         cur_gfeats = global_feature_batch(cur_obs, self.store.actions[idxs],
                                           self.wc)
 
-        discounts = np.power(tc.gamma, np.arange(tc.n_step))
         losses = []
         deltas = np.zeros((self.num_agents, b))
         for u, kind in enumerate(kinds):
-            rew = self.store.rewards[js, u]                     # (n, B)
-            lam = np.sum(np.where(oks, rew, 0.0) * discounts[:, None], axis=0)
+            lam = nstep_return(self.store.rewards[js, u], oks, tc.gamma)
             y = critic_target_values(self.critic_targets[kind], next_gfeats,
                                      kinds, u, lam, count, terminal, tc.gamma)
             zeta = self.trees[u].leaves(idxs) / self.trees[u].total
@@ -474,7 +472,7 @@ class Trainer:
             tensors.update(network_tensors(name, net))
         save_checkpoint(path, tensors)
 
-    def run(self, out_dir, checkpoint_interval: int = 100) -> list[dict]:
+    def run(self, out_dir) -> list[dict]:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         final_ckpt = out / "checkpoint.hgam"
@@ -482,7 +480,7 @@ class Trainer:
         rows = []
         for episode in range(1, self.tc.max_episodes + 1):
             rows.append(self.run_episode(episode))
-            if episode % checkpoint_interval == 0:
+            if episode % CHECKPOINT_INTERVAL == 0:
                 self.save(out / f"checkpoint_ep{episode:06d}.hgam")
         self.save(final_ckpt)
         write_training_csv(out / "training_report.csv", rows)

@@ -113,7 +113,7 @@ _FIELD_TYPES = {"float": numbers.Real, "int": numbers.Integral, "bool": bool}
 def check_field_types(config) -> None:
     """Raise ConfigError unless every field of the config dataclass holds a
     value of its annotated type (`float`, `int` or `bool`; `X | None` also
-    admits None)."""
+    admits None). A `float` must be finite: NaN fails every range check."""
     for f in fields(config):
         value = getattr(config, f.name)
         kind, _, optional = f.type.partition(" | ")
@@ -122,6 +122,8 @@ def check_field_types(config) -> None:
         if isinstance(value, bool) != (kind == "bool") \
                 or not isinstance(value, _FIELD_TYPES[kind]):
             raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
+        if kind == "float" and not math.isfinite(value):
+            raise ConfigError(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass

@@ -263,6 +263,14 @@ def test_cli_exit_codes(tmp_path):
     ("train", "batch_size: many"),
     ("train", "gamma: null"),
     ("train", "lr_critic: 1e-3"),   # YAML 1.1 reads this as a string
+    # NaN fails every range comparison, so finiteness is checked on its own
+    ("evaluate", "sense_radius: .nan"),
+    ("evaluate", "view_range: .nan"),
+    ("evaluate", "comm_radius: .nan"),
+    ("evaluate", "area_width: .inf"),
+    ("train", "lr_critic: .nan"),
+    ("train", "per_alpha: .nan"),
+    ("train", "noise_sigma0: .nan"),
 ])
 def test_cli_rejects_ill_typed_config_values(tmp_path, capsys, command, line):
     world, _ = write_mini_configs(tmp_path)

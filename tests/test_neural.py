@@ -226,13 +226,20 @@ def test_backward_tanh_unit_slope_at_zero():
     assert grads["head_b2"] == pytest.approx([1.0, 0.0])
 
 
-@pytest.mark.parametrize("kinds,ego,out_spec", [
-    ((MUAV, MUAV, CUAV), 0, SMALL_ACTOR),
-    ((MUAV, CUAV, MUAV), 1, SMALL_CRITIC),
-    ((CUAV, MUAV), 0, SMALL_ACTOR),
-    ((MUAV,), 0, SMALL_CRITIC),
-])
-def test_backward_matches_finite_differences(kinds, ego, out_spec):
+@pytest.mark.parametrize("kinds,ego,out_spec,mask", [
+    ((MUAV, MUAV, CUAV), 0, SMALL_ACTOR, None),
+    ((MUAV, CUAV, MUAV), 1, SMALL_CRITIC, None),
+    ((CUAV, MUAV), 0, SMALL_ACTOR, None),
+    ((MUAV,), 0, SMALL_CRITIC, None),
+    # actor templates with absent slots: rows with some, none or every
+    # neighbour slot absent
+    ((MUAV, MUAV, CUAV), 0, SMALL_ACTOR,
+     np.array([[True, False], [False, False], [False, True]])),
+    ((CUAV, MUAV), 0, SMALL_ACTOR, np.array([[False], [True], [False]])),
+], ids=[  # the unmasked ids keep pytest's generated form, so test ids stay stable
+    "kinds0-0-out_spec0", "kinds1-1-out_spec1", "kinds2-0-out_spec2",
+    "kinds3-0-out_spec3", "masked-muav-actor", "masked-cuav-actor"])
+def test_backward_matches_finite_differences(kinds, ego, out_spec, mask):
     # hash() of strings changes with PYTHONHASHSEED; crc32 is stable
     rng = np.random.default_rng(zlib.crc32(repr((kinds, ego)).encode()))
     worst = 0.0
@@ -253,11 +260,12 @@ def test_backward_matches_finite_differences(kinds, ego, out_spec):
         w = rng.normal(0, 1, (3, out_spec.out_dim))
 
         def loss():
-            tape = forward(net, feats, kinds, ego)
+            tape = forward(net, feats, kinds, ego, mask)
             return float(np.sum(tape.out * w)), branch_signature(tape)
 
-        tape = forward(net, feats, kinds, ego)
+        tape = forward(net, feats, kinds, ego, mask)
         grads, dfeats = backward(net, tape, w)
+        assert np.all(np.isfinite(tape.out))
         for name, arr in net.params.items():
             g = grads.get(name)
             for _ in range(3):
@@ -266,6 +274,20 @@ def test_backward_matches_finite_differences(kinds, ego, out_spec):
         for _ in range(5):
             i = int(rng.integers(feats.size))
             check(float(dfeats.flat[i]), feats, i)
+        if mask is None:
+            continue
+        absent = ~mask                   # the ego is slot 0 of these templates
+        assert np.all(dfeats[:, 1:][absent] == 0.0)
+        # what an absent slot holds never reaches the output or a gradient,
+        # even where its attention logit would overflow exp
+        wild = feats.copy()
+        wild[:, 1:][absent] = rng.normal(0, 1e6, (int(absent.sum()), feats.shape[2]))
+        with np.errstate(over="ignore"):
+            wild_tape = forward(net, wild, kinds, ego, mask)
+        wild_grads, wild_dfeats = backward(net, wild_tape, w)
+        assert wild_tape.out.tobytes() == tape.out.tobytes()
+        assert np.all(wild_dfeats[:, 1:][absent] == 0.0)
+        assert all(np.array_equal(wild_grads[k], g) for k, g in grads.items())
     assert worst < 1e-4
     # kinks are rare: at least 90% of the drawn coordinates are measured
     assert measured >= 0.9 * (measured + skipped)

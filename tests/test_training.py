@@ -21,33 +21,40 @@ from hgam.world import CUAV, MUAV, WorldConfig, load_config
 
 # --- n-step returns -----------------------------------------------------------
 
+def column(values, dtype=float):
+    """One chain as an (n, 1) array, the shape `Trainer.update` passes."""
+    return np.asarray(values, dtype=dtype)[:, None]
+
+
 def test_nstep_geometric():
-    lam, n = nstep_return([1.0, 1.0, 1.0], 0.5, 3)
-    assert lam == pytest.approx(1.75)
-    assert n == 3
+    lam = nstep_return(column([1.0, 1.0, 1.0]), column([True] * 3, bool), 0.5)
+    assert lam == pytest.approx([1.75])
+    assert lam.shape == (1,)
 
 
 def test_nstep_single_step():
-    lam, n = nstep_return([3.0, 9.0], 0.5, 1)
-    assert lam == 3.0 and n == 1
+    lam = nstep_return(column([3.0, 9.0]), column([True, False], bool), 0.5)
+    assert lam.tolist() == [3.0]
 
 
 def test_nstep_truncates():
-    lam, n = nstep_return([1.0, 1.0], 0.5, 3)
-    assert lam == pytest.approx(1.5)
-    assert n == 2
+    # a chain that ends after two of three steps: the third reward is not summed
+    lam = nstep_return(column([1.0, 1.0, 7.0]), column([True, True, False], bool), 0.5)
+    assert lam == pytest.approx([1.5])
 
 
 @settings(max_examples=200)
 @given(st.lists(st.floats(-10, 10), min_size=1, max_size=10),
        st.floats(0.0, 0.999), st.integers(1, 10))
 def test_nstep_matches_bruteforce(rewards, gamma, n):
-    lam, count = nstep_return(rewards, gamma, n)
+    length = min(n, len(rewards))
+    padded = column((rewards + [0.0] * n)[:n])
+    lam = nstep_return(padded, np.arange(n)[:, None] < length, gamma)
+    discounts = np.power(gamma, np.arange(n))
     brute = 0.0
-    for k in range(min(n, len(rewards))):
-        brute += gamma ** k * rewards[k]
-    assert lam == brute  # same accumulation order: exact equality
-    assert count == min(n, len(rewards))
+    for k in range(length):
+        brute += discounts[k] * rewards[k]
+    assert lam.tolist() == [brute]  # same accumulation order: exact equality
 
 
 # --- sum tree -------------------------------------------------------------------

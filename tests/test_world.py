@@ -90,7 +90,8 @@ def test_config_types_follow_annotations():
                       sense_radius=np.float64(0.5), comm_radius=None)
     assert cfg.area_width == 8 and cfg.num_pois == 5
     for name, bad in (("area_width", True), ("num_pois", 5.0),
-                      ("global_view", 1), ("comm_radius", "6")):
+                      ("global_view", 1), ("comm_radius", "6"),
+                      ("w_c", -math.inf)):
         with pytest.raises(ConfigError, match=f"{name} must be"):
             WorldConfig(**{name: bad})
     with pytest.raises(ConfigError, match="num_pois must be >= 0"):
