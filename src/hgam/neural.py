@@ -117,10 +117,6 @@ class Network:
         return out
 
 
-def _lrelu(x, slope):
-    return np.where(x > 0, x, slope * x)
-
-
 def _slope_mask(x, slope):
     """Pointwise LeakyReLU derivative; y = x * mask gives the activation and
     the same mask backpropagates it."""
@@ -223,7 +219,7 @@ def forward(net: Network, feats: np.ndarray, kinds, ego: int,
         present = True if mask is None else mask
         top = np.where(present, el, -np.inf).max(axis=1, keepdims=True)
         top = np.where(np.isfinite(top), top, 0.0)
-        ex = np.where(present, np.exp(el - top), 0.0)
+        ex = np.exp(np.where(present, el - top, -np.inf))
         denom = ex.sum(axis=1, keepdims=True)
         alpha = np.divide(ex, denom, out=np.zeros_like(ex), where=denom > 0)
         g = np.einsum("bk,bke->be", alpha, wh_nbr)
@@ -314,45 +310,6 @@ def backward(net: Network, tape: Tape, dout: np.ndarray,
         if input_grads:
             dfeats[:, lo:hi, :] = (dz1 @ p[f"enc_{kind}_w1"]).reshape(b, hi - lo, in_w)
     return grads, dfeats
-
-
-# ---------------------------------------------------------------------------
-# single-graph api
-
-def encode(net: Network, kind: str, v: np.ndarray) -> np.ndarray:
-    """Two-layer LeakyReLU embedding of one node feature vector."""
-    v = np.asarray(v, dtype=float)
-    expected = net.spec.in_widths[kind]
-    if v.shape != (expected,):
-        raise ValueError(f"{kind} encoder expects width {expected}, got {v.shape}")
-    p = net.params
-    a1 = _lrelu(v @ p[f"enc_{kind}_w1"].T + p[f"enc_{kind}_b1"], LRELU_HIDDEN)
-    return _lrelu(a1 @ p[f"enc_{kind}_w2"].T + p[f"enc_{kind}_b2"], LRELU_HIDDEN)
-
-
-def attention_coefficients(net: Network, h_ego: np.ndarray,
-                           neighbor_embeddings: np.ndarray) -> np.ndarray:
-    """Softmax attention over the neighbor set (the ego is not included)."""
-    nbr = np.atleast_2d(np.asarray(neighbor_embeddings, dtype=float))
-    e_dim = net.spec.embed_dim
-    w = net.params["gat_w"]
-    a_src = net.params["gat_a"][:e_dim]
-    a_dst = net.params["gat_a"][e_dim:]
-    logits = _lrelu((nbr @ w.T) @ a_src + (w @ h_ego) @ a_dst, LRELU_ATTN)
-    ex = np.exp(logits - logits.max())
-    return ex / ex.sum()
-
-
-def gat_aggregate(net: Network, h_ego: np.ndarray,
-                  neighbor_embeddings) -> np.ndarray:
-    """Attention-weighted sum of projected neighbor embeddings; the empty
-    neighborhood aggregates to the zero vector."""
-    nbr = np.asarray(neighbor_embeddings, dtype=float)
-    if nbr.size == 0:
-        return np.zeros(net.spec.embed_dim)
-    nbr = np.atleast_2d(nbr)
-    alpha = attention_coefficients(net, h_ego, nbr)
-    return alpha @ (nbr @ net.params["gat_w"].T)
 
 
 def adam_step(net: Network, grads: dict[str, np.ndarray], lr: float) -> None:
@@ -476,5 +433,10 @@ def network_from_tensors(name: str, spec: NetSpec,
     t_key = f"{name}/adam_t"
     if t_key not in tensors:
         raise CheckpointError(f"missing tensor {t_key}")
-    net.adam_t = int(tensors[t_key].reshape(-1)[0])
+    t = tensors[t_key]
+    # NaN, inf, negative and fractional steps all fail one of these
+    if t.shape != (1, 1) or not (0 <= t[0, 0] < np.inf and t[0, 0] % 1 == 0):
+        raise CheckpointError(f"tensor {t_key}: shape {t.shape} value "
+                              f"{t.reshape(-1)[:1]} is not one whole step count")
+    net.adam_t = int(t[0, 0])
     return net

@@ -8,11 +8,9 @@ import pytest
 from conftest import branch_signature, forward_graph, kink_free_fd
 from hgam.errors import CheckpointError
 from hgam.hetgraph import HeteroGraph
-from hgam.neural import (LINEAR, TANH, NetSpec, Network,
-                         attention_coefficients, adam_step, backward, encode,
-                         forward, gat_aggregate, load_checkpoint,
-                         network_from_tensors, network_tensors,
-                         save_checkpoint)
+from hgam.neural import (LINEAR, TANH, NetSpec, Network, adam_step, backward,
+                         forward, load_checkpoint, network_from_tensors,
+                         network_tensors, save_checkpoint)
 from hgam.world import CUAV, MUAV
 
 SMALL_ACTOR = NetSpec({MUAV: 9, CUAV: 9}, 2, TANH, embed_dim=8, head_hidden=12)
@@ -32,8 +30,8 @@ def make_graph(spec, kinds, ego=0, rng=None, features=None):
 
 def test_encode_zero_params_gives_zero():
     net = Network(SMALL_ACTOR, rng=None)
-    out = encode(net, MUAV, np.ones(9))
-    assert np.all(out == 0.0)
+    tape = forward(net, np.ones((1, 3, 9)), (MUAV, MUAV, CUAV), 0)
+    assert np.all(tape.h == 0.0)
 
 
 def test_encode_scalar_positive_branch():
@@ -41,7 +39,8 @@ def test_encode_scalar_positive_branch():
     net = Network(spec, rng=None)
     net.params["enc_muav_w1"][...] = 2.0
     net.params["enc_muav_w2"][...] = 1.0
-    assert encode(net, MUAV, np.array([3.0]))[0] == pytest.approx(6.0)
+    tape = forward(net, np.array([[[3.0]]]), (MUAV,), 0)
+    assert tape.h[0, 0, 0] == pytest.approx(6.0)
 
 
 def test_encode_scalar_negative_branch():
@@ -50,79 +49,76 @@ def test_encode_scalar_negative_branch():
     net.params["enc_muav_w1"][...] = 2.0
     net.params["enc_muav_w2"][...] = 1.0
     # first layer: lrelu(-6) = -0.06; second: lrelu(-0.06) = -0.0006
-    assert encode(net, MUAV, np.array([-3.0]))[0] == pytest.approx(-0.0006)
+    tape = forward(net, np.array([[[-3.0]]]), (MUAV,), 0)
+    assert tape.h[0, 0, 0] == pytest.approx(-0.0006)
 
 
 def test_encode_rejects_width_mismatch():
     net = Network(SMALL_ACTOR, rng=None)
     with pytest.raises(ValueError):
-        encode(net, MUAV, np.zeros(5))
+        forward(net, np.zeros((1, 1, 5)), (MUAV,), 0)
 
 
 # --- attention ----------------------------------------------------------------
 
 def test_attention_singleton():
     net = Network(SMALL_ACTOR, np.random.default_rng(1))
-    h = np.random.default_rng(2).normal(0, 1, 8)
-    alpha = attention_coefficients(net, h, h[None, :] * 0.5)
-    assert alpha == pytest.approx([1.0])
+    feats = np.random.default_rng(2).normal(0, 1, (1, 2, 9))
+    tape = forward(net, feats, (MUAV, CUAV), 0)
+    assert tape.alpha[0] == pytest.approx([1.0])
 
 
 def test_attention_identical_neighbors_split_evenly():
     net = Network(SMALL_ACTOR, np.random.default_rng(1))
-    rng = np.random.default_rng(3)
-    h = rng.normal(0, 1, 8)
-    nbr = rng.normal(0, 1, 8)
-    alpha = attention_coefficients(net, h, np.stack([nbr, nbr]))
-    assert alpha == pytest.approx([0.5, 0.5])
+    feats = np.random.default_rng(3).normal(0, 1, (1, 3, 9))
+    feats[0, 2] = feats[0, 1]
+    tape = forward(net, feats, (MUAV, CUAV, CUAV), 0)
+    assert tape.alpha[0] == pytest.approx([0.5, 0.5])
 
 
 def test_attention_softmax_values():
-    # craft parameters so the post-activation logits are exactly (0, ln 3)
+    # identity encoders pass non-negative features through unchanged, and
+    # these parameters make the post-activation logits exactly (0, ln 3)
     net = Network(SMALL_ACTOR, rng=None)
+    net.params["enc_muav_w1"][:, :8] = np.eye(8)
+    net.params["enc_muav_w2"][...] = np.eye(8)
     net.params["gat_w"][...] = np.eye(8)
     net.params["gat_a"][0] = 1.0          # logit = first component of W h_v
-    h_ego = np.zeros(8)
-    n1 = np.zeros(8)
-    n2 = np.zeros(8)
-    n2[0] = math.log(3.0)
-    alpha = attention_coefficients(net, h_ego, np.stack([n1, n2]))
-    assert alpha == pytest.approx([0.25, 0.75], abs=1e-12)
+    feats = np.zeros((1, 3, 9))
+    feats[0, 2, 0] = math.log(3.0)
+    tape = forward(net, feats, (MUAV, MUAV, MUAV), 0)
+    assert tape.alpha[0] == pytest.approx([0.25, 0.75], abs=1e-12)
 
 
 def test_attention_positive_and_normalized_random():
     rng = np.random.default_rng(7)
     for _ in range(100):
         net = Network(SMALL_ACTOR, rng)
-        k = int(rng.integers(1, 5))
-        alpha = attention_coefficients(net, rng.normal(0, 1, 8),
-                                       rng.normal(0, 1, (k, 8)))
-        assert np.all(alpha > 0)
-        assert abs(alpha.sum() - 1.0) < 1e-9
+        n = int(rng.integers(2, 6))
+        kinds = tuple(MUAV if c else CUAV for c in rng.integers(0, 2, n))
+        tape = forward(net, rng.normal(0, 1, (1, n, 9)), kinds,
+                       int(rng.integers(n)))
+        assert np.all(tape.alpha > 0)
+        assert abs(tape.alpha.sum() - 1.0) < 1e-9
 
 
 # --- aggregation ----------------------------------------------------------------
 
-def test_gat_aggregate_no_neighbors_zero():
-    net = Network(SMALL_ACTOR, np.random.default_rng(1))
-    g = gat_aggregate(net, np.ones(8), np.zeros((0, 8)))
-    assert np.all(g == 0.0)
-
-
 def test_gat_aggregate_identity_passthrough():
     net = Network(SMALL_ACTOR, np.random.default_rng(1))
     net.params["gat_w"][...] = np.eye(8)
-    nbr = np.random.default_rng(2).normal(0, 1, 8)
-    g = gat_aggregate(net, np.zeros(8), nbr[None, :])
-    assert g == pytest.approx(nbr)
+    feats = np.random.default_rng(2).normal(0, 1, (1, 2, 9))
+    tape = forward(net, feats, (MUAV, CUAV), 0)
+    assert np.array_equal(tape.g[0], tape.h[0, 1])
 
 
 def test_gat_aggregate_identical_neighbors_convexity():
     net = Network(SMALL_ACTOR, np.random.default_rng(1))
     net.params["gat_w"][...] = np.eye(8)
-    nbr = np.random.default_rng(2).normal(0, 1, 8)
-    g = gat_aggregate(net, np.zeros(8), np.stack([nbr, nbr]))
-    assert g == pytest.approx(nbr)
+    feats = np.random.default_rng(2).normal(0, 1, (1, 3, 9))
+    feats[0, 2] = feats[0, 1]
+    tape = forward(net, feats, (MUAV, CUAV, CUAV), 0)
+    assert tape.g[0] == pytest.approx(tape.h[0, 1])
 
 
 # --- heads ----------------------------------------------------------------------
@@ -251,7 +247,7 @@ def test_backward_matches_finite_differences(kinds, ego, out_spec, mask):
         if num is None:
             skipped += 1
             return
-        worst = max(worst, rel_err(analytic, num))
+        worst = float(np.maximum(worst, rel_err(analytic, num)))  # keeps NaN
         measured += 1
 
     for _ in range(5):
@@ -282,8 +278,7 @@ def test_backward_matches_finite_differences(kinds, ego, out_spec, mask):
         # even where its attention logit would overflow exp
         wild = feats.copy()
         wild[:, 1:][absent] = rng.normal(0, 1e6, (int(absent.sum()), feats.shape[2]))
-        with np.errstate(over="ignore"):
-            wild_tape = forward(net, wild, kinds, ego, mask)
+        wild_tape = forward(net, wild, kinds, ego, mask)
         wild_grads, wild_dfeats = backward(net, wild_tape, w)
         assert wild_tape.out.tobytes() == tape.out.tobytes()
         assert np.all(wild_dfeats[:, 1:][absent] == 0.0)
@@ -398,6 +393,17 @@ def test_checkpoint_missing_network(tmp_path):
     save_checkpoint(path, network_tensors("a", net))
     with pytest.raises(CheckpointError, match="missing"):
         network_from_tensors("b", SMALL_ACTOR, load_checkpoint(path))
+
+
+@pytest.mark.parametrize("adam_t", [np.zeros((1, 0)), [[np.nan]], [[np.inf]],
+                                    [[-5.0]], [[2.5]]],
+                         ids=["empty", "nan", "inf", "negative", "fractional"])
+def test_checkpoint_rejects_malformed_adam_t(tmp_path, adam_t):
+    net = Network(SMALL_ACTOR, np.random.default_rng(3))
+    path = tmp_path / "net.hgam"
+    save_checkpoint(path, {**network_tensors("a", net), "a/adam_t": np.array(adam_t)})
+    with pytest.raises(CheckpointError, match="a/adam_t"):
+        network_from_tensors("a", SMALL_ACTOR, load_checkpoint(path))
 
 
 def test_failed_save_keeps_previous_checkpoint(tmp_path):

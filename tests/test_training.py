@@ -388,8 +388,8 @@ def test_critic_update_gradient_matches_fd():
             fd_val = (up - dn) / 2e-5
             an = 0.0 if g is None else float(g.flat[i])
             d = abs(an - fd_val)
-            if d >= 1e-8:
-                worst = max(worst, d / max(abs(an), abs(fd_val)))
+            if not d < 1e-8:                    # NaN is kept, not skipped
+                worst = float(np.maximum(worst, d / max(abs(an), abs(fd_val))))
     assert worst < 1e-4
 
 
