@@ -28,7 +28,10 @@ The runs (about 10 s in total, single-threaded BLAS):
   next to it (`e_min: 1`, 3 episodes, batch 32, capacity 4096), and
   `evaluate --policy hgam` on its checkpoint, 3 episodes. Under
   `comm_radius` many neighbour slots are absent, so these learner updates
-  and actors run on masked local graphs, which the runs above never do.
+  and actors run on masked local graphs, which the runs above never do;
+- `inspect-checkpoint` on the default-world checkpoint, its listing on
+  stdout kept as `stdout.txt`. It reads every tensor, while the `evaluate`
+  runs read only the actors.
 
 hgam is imported from this checkout's `src/`.
 """
@@ -85,6 +88,10 @@ def runs(out: Path):
                                str(fleet_train), "--seed", "3"]),
         ("eval_fleet_hgam", ["evaluate", "--config", str(fleet), "--policy", "hgam",
                              "--checkpoint", ckpt_fleet, "--episodes", "3"]),
+        # relative to `out`, the working directory of the runs, so the
+        # path the listing prints is the same in every run
+        ("inspect_default", ["inspect-checkpoint", "--checkpoint",
+                             "train_default/checkpoint.hgam"]),
     ]
 
 
@@ -98,14 +105,27 @@ def fingerprint(out: Path) -> list[str]:
         raise SystemExit(f"error: imported hgam from {hgam.__file__}, "
                          f"not from {ROOT / 'src'}")
     lines = []
-    for name, argv in runs(out):
-        with open(os.devnull, "w") as devnull, redirect_stdout(devnull):
-            code = main(argv + ["--out", str(out / name)])
-        if code != 0:
-            raise SystemExit(f"error: {name} exited with code {code}")
-        for path in sorted((out / name).iterdir()):
-            digest = hashlib.sha256(path.read_bytes()).hexdigest()
-            lines.append(f"{digest}  {name}/{path.name}")
+    out = out.resolve()
+    cwd = os.getcwd()
+    os.chdir(out)
+    try:
+        for name, argv in runs(out):
+            if argv[0] == "inspect-checkpoint":
+                # no --out: the listing it prints is its output
+                (out / name).mkdir(exist_ok=True)
+                sink = open(out / name / "stdout.txt", "w")
+            else:
+                argv = argv + ["--out", str(out / name)]
+                sink = open(os.devnull, "w")
+            with sink, redirect_stdout(sink):
+                code = main(argv)
+            if code != 0:
+                raise SystemExit(f"error: {name} exited with code {code}")
+            for path in sorted((out / name).iterdir()):
+                digest = hashlib.sha256(path.read_bytes()).hexdigest()
+                lines.append(f"{digest}  {name}/{path.name}")
+    finally:
+        os.chdir(cwd)
     return lines
 
 

@@ -371,36 +371,55 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray]) -> None:
         raise
 
 
-def load_checkpoint(path) -> dict[str, np.ndarray]:
+def load_checkpoint(path, networks=None) -> dict[str, np.ndarray]:
+    """Read the tensors of the networks named in `networks` (the part of a
+    tensor name before '/'), or every tensor when it is None. The file is
+    streamed: a kept tensor is read straight into its array, any other is
+    seeked past, and every record is checked against the file size before
+    anything is allocated or skipped."""
     try:
         fh = open(path, "rb")
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     with fh:
-        blob = fh.read()
-    if blob[:4] != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path}: bad magic {blob[:4]!r}")
-    (version,) = struct.unpack_from("<I", blob, 4)
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: unsupported format version {version}")
-    tensors: dict[str, np.ndarray] = {}
-    off = 8
-    while off < len(blob):
-        try:
-            (name_len,) = struct.unpack_from("<I", blob, off)
-            off += 4
-            name = blob[off: off + name_len].decode("utf-8")
-            off += name_len
-            rows, cols = struct.unpack_from("<II", blob, off)
-            off += 8
-            count = rows * cols
-            data = np.frombuffer(blob, dtype="<f8", count=count, offset=off)
-            off += 8 * count
-        except (struct.error, ValueError) as exc:
-            raise CheckpointError(f"{path}: truncated or corrupt ({exc})") from exc
-        if off > len(blob):
-            raise CheckpointError(f"{path}: truncated tensor {name}")
-        tensors[name] = data.reshape(rows, cols).astype(float)
+        size = os.fstat(fh.fileno()).st_size
+
+        def take(n: int) -> bytes:
+            raw = fh.read(n)
+            if len(raw) != n:
+                raise CheckpointError(f"{path}: truncated or corrupt "
+                                      f"(needed {n} bytes, found {len(raw)})")
+            return raw
+
+        magic = fh.read(4)
+        if magic != CHECKPOINT_MAGIC:
+            raise CheckpointError(f"{path}: bad magic {magic!r}")
+        (version,) = struct.unpack("<I", take(4))
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointError(f"{path}: unsupported format version {version}")
+        tensors: dict[str, np.ndarray] = {}
+        off = 8
+        while off < size:
+            (name_len,) = struct.unpack("<I", take(4))
+            if off + 12 + name_len > size:
+                raise CheckpointError(f"{path}: truncated or corrupt (name of "
+                                      f"{name_len} bytes at offset {off})")
+            try:
+                name = take(name_len).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CheckpointError(f"{path}: truncated or corrupt ({exc})") from exc
+            rows, cols = struct.unpack("<II", take(8))
+            nbytes = 8 * rows * cols
+            off += 12 + name_len + nbytes
+            if off > size:
+                raise CheckpointError(f"{path}: truncated tensor {name}")
+            if networks is not None and name.split("/", 1)[0] not in networks:
+                fh.seek(nbytes, os.SEEK_CUR)
+                continue
+            data = np.empty((rows, cols), dtype="<f8")
+            if fh.readinto(data) != nbytes:
+                raise CheckpointError(f"{path}: truncated tensor {name}")
+            tensors[name] = data
     return tensors
 
 
@@ -417,7 +436,8 @@ def network_tensors(name: str, net: Network) -> dict[str, np.ndarray]:
 
 def network_from_tensors(name: str, spec: NetSpec,
                          tensors: dict[str, np.ndarray]) -> Network:
-    """Rebuild a network, validating every shape against the spec."""
+    """Rebuild a network, validating every shape against the spec and
+    rejecting any NaN or infinite value."""
     net = Network(spec, rng=None)
     for k, shape in spec.param_shapes().items():
         for suffix, dest in (("", net.params), ("#m", net.adam_m), ("#v", net.adam_v)):
@@ -429,6 +449,8 @@ def network_from_tensors(name: str, spec: NetSpec,
             if arr.shape != tuple(shape) and not flat_ok:
                 raise CheckpointError(
                     f"tensor {key}: shape {arr.shape} incompatible with {shape}")
+            if not np.isfinite(arr).all():
+                raise CheckpointError(f"tensor {key}: non-finite value")
             dest[k][...] = arr.reshape(shape)
     t_key = f"{name}/adam_t"
     if t_key not in tensors:

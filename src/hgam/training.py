@@ -366,7 +366,9 @@ class Trainer:
 
     def update(self, episode: int, step_index: int):
         """One round of critic/actor updates for every agent; returns the
-        mean critic loss or None when updates are gated off."""
+        mean critic loss or None when updates are gated off. A non-finite
+        critic loss, or a non-finite parameter in a network the round
+        changed, raises ContractError."""
         tc = self.tc
         if episode <= tc.e_min or self.store.size == 0:
             return None
@@ -406,8 +408,19 @@ class Trainer:
                          amask, cur_gfeats, kinds, u, self.action_slice,
                          tc.lr_actor)
 
-        if episode % tc.f_soft == 0:
+        synced = episode % tc.f_soft == 0
+        if synced:
             self.sync_targets()
+
+        # a NaN or inf stops the run before it reaches the priorities
+        where = f"at episode {episode} step {step_index}"
+        for u, loss in enumerate(losses):
+            if not np.isfinite(loss):
+                raise ContractError(f"non-finite loss {loss} (agent {u}) in "
+                                    f"critic_{kinds[u]} {where}")
+        for name, net in self.network_map().items():
+            if (synced or "_target_" not in name) and not np.isfinite(net.flat).all():
+                raise ContractError(f"non-finite parameter in {name} {where}")
 
         for tree, vals in zip(self.trees, priorities(deltas, tc.per_alpha)):
             tree.set_many(idxs, vals)
@@ -506,11 +519,11 @@ def train(world_config: WorldConfig, train_config: TrainConfig, seed: int,
 def load_actor_networks(path, world_config: WorldConfig,
                         use_gat: bool = True) -> list[Network]:
     """Actor networks for every agent from a checkpoint, shape-validated
-    against the world configuration."""
+    against the world configuration. Only the actors' tensors are read."""
     from .neural import load_checkpoint
-    tensors = load_checkpoint(path)
-    spec = actor_spec(world_config, use_gat)
     n = world_config.num_uavs
+    tensors = load_checkpoint(path, {f"actor_{i}" for i in range(n)})
+    spec = actor_spec(world_config, use_gat)
     missing = [f"actor_{i}" for i in range(n)
                if f"actor_{i}/head_w2" not in tensors]
     if missing:

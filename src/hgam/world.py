@@ -12,7 +12,6 @@ import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-import yaml
 
 from .errors import ConfigError, InfeasibleScenarioError
 
@@ -233,6 +232,7 @@ def lens_area(d: float, r: float) -> float:
 def load_config(cls, path):
     """Read a `WorldConfig` or `TrainConfig` from a flat YAML mapping;
     unknown keys are fatal, missing keys keep their defaults."""
+    import yaml  # only runs that read a config file pay for the import
     with open(path, "r", encoding="utf-8") as fh:
         data = yaml.safe_load(fh)
     if data is None:

@@ -11,10 +11,10 @@ from hgam.errors import ConfigError
 from hgam.harness import (ActorPolicy, GreedyPolicy, RandomPolicy, evaluate,
                           greedy_policy, make_policy)
 from hgam.hetgraph import local_feature_batch
-from hgam.neural import forward
+from hgam.neural import forward, load_checkpoint, save_checkpoint
 from hgam.rollout import joint_observation
 from hgam.training import TrainConfig, Trainer, train
-from hgam.world import WorldConfig, generate_scenario
+from hgam.world import WorldConfig, generate_scenario, load_config
 
 
 def test_greedy_muav_heads_to_nearest_poi():
@@ -251,6 +251,25 @@ def test_cli_exit_codes(tmp_path):
     garbled = tmp_path / "garbled.hgam"
     garbled.write_bytes(b"NOTHGAM")
     assert main(["inspect-checkpoint", "--checkpoint", str(garbled)]) == 3
+
+
+@pytest.mark.parametrize("key, code", [("actor_0/head_b2", 3),
+                                       ("critic_muav/head_b2", 0),
+                                       ("actor_target_1/gat_w#m", 0)])
+def test_cli_evaluate_non_finite_checkpoint_value(tmp_path, capsys, key, code):
+    # evaluate reads only the actors, so a NaN elsewhere does not concern it
+    world, _ = write_mini_configs(tmp_path)
+    path = tmp_path / "checkpoint.hgam"
+    Trainer(load_config(WorldConfig, world), TrainConfig(buffer_capacity=64),
+            seed=0).save(path)
+    tensors = load_checkpoint(path)
+    tensors[key][0, 0] = np.nan
+    save_checkpoint(path, tensors)
+    assert main(["evaluate", "--config", str(world), "--policy", "hgam",
+                 "--checkpoint", str(path), "--episodes", "1",
+                 "--out", str(tmp_path / "eval")]) == code
+    if code:
+        assert f"tensor {key}: non-finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, line", [

@@ -368,14 +368,58 @@ def test_checkpoint_bad_magic(tmp_path):
         load_checkpoint(path)
 
 
-def test_checkpoint_truncated(tmp_path):
+def test_checkpoint_unsupported_version(tmp_path):
+    path = tmp_path / "v2.hgam"
+    path.write_bytes(b"HGAM" + (2).to_bytes(4, "little"))
+    with pytest.raises(CheckpointError, match="version 2"):
+        load_checkpoint(path)
+    path.write_bytes(b"HGAM")
+    with pytest.raises(CheckpointError, match="truncated"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("networks", [None, {"a"}], ids=["all", "skipped"])
+def test_checkpoint_truncated(tmp_path, networks):
+    # the cut falls in the last record, one of b's, which {"a"} seeks past
     net = Network(SMALL_ACTOR, np.random.default_rng(3))
     path = tmp_path / "net.hgam"
-    save_checkpoint(path, network_tensors("a", net))
+    save_checkpoint(path, {**network_tensors("a", net), **network_tensors("b", net)})
     blob = path.read_bytes()
     path.write_bytes(blob[: len(blob) - 9])
-    with pytest.raises(CheckpointError):
-        load_checkpoint(path)
+    with pytest.raises(CheckpointError, match="truncated tensor b/"):
+        load_checkpoint(path, networks)
+
+
+@pytest.mark.parametrize("networks", [None, {"other"}], ids=["all", "skipped"])
+def test_checkpoint_oversized_header_fails_before_allocating(tmp_path, networks):
+    # 2**31 x 4 doubles would be a 64 GiB array; the file holds 16 bytes
+    path = tmp_path / "huge.hgam"
+    name = b"a/head_w2"
+    path.write_bytes(b"HGAM" + (1).to_bytes(4, "little")
+                     + len(name).to_bytes(4, "little") + name
+                     + (2 ** 31).to_bytes(4, "little") + (4).to_bytes(4, "little")
+                     + bytes(16))
+    with pytest.raises(CheckpointError, match="truncated tensor a/head_w2"):
+        load_checkpoint(path, networks)
+
+
+def test_checkpoint_selected_networks_bit_identical(tmp_path):
+    rng = np.random.default_rng(4)
+    tensors = {}
+    # actor_01 shares actor_0's prefix but is another network
+    for name in ("actor_0", "actor_01", "actor_target_0", "critic_muav"):
+        net = Network(SMALL_ACTOR, rng)
+        net.flat_m[...] = rng.normal(0, 1, net.flat_m.shape)
+        tensors.update(network_tensors(name, net))
+    path = tmp_path / "nets.hgam"
+    save_checkpoint(path, tensors)
+    full = load_checkpoint(path)
+    part = load_checkpoint(path, {"actor_0"})
+    assert sorted(part) == sorted(k for k in full if k.startswith("actor_0/"))
+    for key, arr in part.items():
+        assert arr.dtype == full[key].dtype and arr.shape == full[key].shape
+        assert arr.tobytes() == full[key].tobytes()
+    assert load_checkpoint(path, set()) == {}
 
 
 def test_checkpoint_shape_mismatch(tmp_path):
@@ -403,6 +447,19 @@ def test_checkpoint_rejects_malformed_adam_t(tmp_path, adam_t):
     path = tmp_path / "net.hgam"
     save_checkpoint(path, {**network_tensors("a", net), "a/adam_t": np.array(adam_t)})
     with pytest.raises(CheckpointError, match="a/adam_t"):
+        network_from_tensors("a", SMALL_ACTOR, load_checkpoint(path))
+
+
+@pytest.mark.parametrize("key, value", [("a/head_b2", np.nan),
+                                        ("a/gat_w#m", np.inf),
+                                        ("a/enc_cuav_b1#v", -np.inf)])
+def test_checkpoint_rejects_non_finite_values(tmp_path, key, value):
+    net = Network(SMALL_ACTOR, np.random.default_rng(3))
+    tensors = {k: v.copy() for k, v in network_tensors("a", net).items()}
+    tensors[key].flat[1] = value
+    path = tmp_path / "net.hgam"
+    save_checkpoint(path, tensors)
+    with pytest.raises(CheckpointError, match=f"{key}: non-finite"):
         network_from_tensors("a", SMALL_ACTOR, load_checkpoint(path))
 
 

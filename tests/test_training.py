@@ -540,6 +540,17 @@ def test_target_sync_runs_on_every_update_step_of_f_soft_episodes(monkeypatch):
     assert sum(syncs.values()) > 0
 
 
+@pytest.mark.parametrize("group, key, name", [("critics", MUAV, "critic_muav"),
+                                              ("actors", 0, "actor_0")])
+def test_update_rejects_non_finite_network(group, key, name):
+    wc, tc = quick_configs(e_min=1)
+    trainer = Trainer(wc, tc, seed=0)
+    trainer.run_episode(1)   # fills the replay store without updates
+    getattr(trainer, group)[key].flat[0] = np.nan
+    with pytest.raises(ContractError, match=f"in {name} at episode 2 step 5"):
+        trainer.update(2, 5)
+
+
 def test_training_episode_observes_every_state_once(monkeypatch):
     wc, tc = quick_configs()
     trainer = Trainer(wc, tc, seed=0)
