@@ -34,6 +34,13 @@ The runs (about 10 s in total, single-threaded BLAS):
   runs read only the actors.
 
 hgam is imported from this checkout's `src/`.
+
+Checkpoints hold Adam moments and step counts only for networks the
+optimizer has stepped, not for target copies or untrained networks. The
+change to that layout moved five lines by design: the four
+`checkpoint.hgam` digests and `inspect_default/stdout.txt`. Across it,
+compare the other 24 lines; every report, trajectory, PoI and
+reward-component digest stayed the same.
 """
 
 import argparse

@@ -8,7 +8,7 @@ from dataclasses import replace
 
 from .errors import HgamError
 from .harness import POLICY_KINDS, evaluate, make_policy
-from .neural import load_checkpoint
+from .neural import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, load_checkpoint
 from .training import TrainConfig, train
 from .world import WorldConfig, load_config
 
@@ -60,7 +60,8 @@ def _cmd_export_traj(args) -> int:
 def _cmd_inspect_checkpoint(args) -> int:
     tensors = load_checkpoint(args.checkpoint)
     total = 0
-    print(f"{args.checkpoint}: format HGAM v1, {len(tensors)} tensors")
+    print(f"{args.checkpoint}: format {CHECKPOINT_MAGIC.decode()} "
+          f"v{CHECKPOINT_VERSION}, {len(tensors)} tensors")
     for name in sorted(tensors):
         arr = tensors[name]
         total += arr.size

@@ -116,6 +116,8 @@ def evaluate(policy, world_config: WorldConfig, episodes: int, seed: int,
     the report (also written as JSON when out_dir is given)."""
     if episodes < 1:
         raise ConfigError("episodes must be >= 1")
+    if export_traj and out_dir is None:
+        raise ConfigError("trajectory export needs an output directory")
     if world_config.num_muavs < 1 or world_config.num_cuavs < 1:
         raise ConfigError("evaluation needs at least one MUAV and one CUAV "
                           "(the report metrics are undefined otherwise)")
@@ -146,7 +148,7 @@ def evaluate(policy, world_config: WorldConfig, episodes: int, seed: int,
                           reads_obs=policy.reads_obs)
         row["seed"] = seed + i
         rows.append(row)
-        if export_traj and out is not None:
+        if export_traj:
             write_csv(out / f"trajectory_ep{i:04d}.csv", TRAJ_COLUMNS, traj_rows)
             write_poi_csv(out / f"pois_ep{i:04d}.csv", state)
             components = {"episode_seed": seed + i,

@@ -66,9 +66,10 @@ def _fan_in(name: str, shape) -> int:
 class Network:
     """Parameters plus Adam moment state for one actor or critic.
 
-    All tensors live in one flat float64 buffer with named views, so the
-    optimizer and soft updates are single vector operations. The views are
-    never rebound; mutate through them only.
+    The parameters live in one flat float64 buffer with named views, and the
+    moments in two more of the same layout, so the optimizer and soft
+    updates are single vector operations. The views are never rebound;
+    mutate through them only. The moments stay zero until `adam_step` runs.
     """
 
     def __init__(self, spec: NetSpec, rng: np.random.Generator | None = None):
@@ -90,18 +91,13 @@ class Network:
             if rng is not None:
                 bound = 1.0 / np.sqrt(_fan_in(name, shape))
                 self.params[name][...] = rng.uniform(-bound, bound, size=shape)
-        self.adam_m = {n: self.flat_m[lo:hi].reshape(shapes[n])
-                       for n, (lo, hi) in self._offsets.items()}
-        self.adam_v = {n: self.flat_v[lo:hi].reshape(shapes[n])
-                       for n, (lo, hi) in self._offsets.items()}
         self.adam_t = 0
 
     def clone(self) -> "Network":
+        """A copy of the parameters with fresh optimizer state, as a target
+        network starts."""
         out = Network(self.spec, rng=None)
         out.flat[...] = self.flat
-        out.flat_m[...] = self.flat_m
-        out.flat_v[...] = self.flat_v
-        out.adam_t = self.adam_t
         return out
 
     def flatten(self, grads: dict[str, np.ndarray]) -> np.ndarray:
@@ -371,12 +367,11 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray]) -> None:
         raise
 
 
-def load_checkpoint(path, networks=None) -> dict[str, np.ndarray]:
-    """Read the tensors of the networks named in `networks` (the part of a
-    tensor name before '/'), or every tensor when it is None. The file is
-    streamed: a kept tensor is read straight into its array, any other is
-    seeked past, and every record is checked against the file size before
-    anything is allocated or skipped."""
+def load_checkpoint(path, names=None) -> dict[str, np.ndarray]:
+    """Read the tensors whose full names are in `names`, or every tensor
+    when it is None. The file is streamed: a kept tensor is read straight
+    into its array, any other is seeked past, and every record is checked
+    against the file size before anything is allocated or skipped."""
     try:
         fh = open(path, "rb")
     except OSError as exc:
@@ -413,7 +408,7 @@ def load_checkpoint(path, networks=None) -> dict[str, np.ndarray]:
             off += 12 + name_len + nbytes
             if off > size:
                 raise CheckpointError(f"{path}: truncated tensor {name}")
-            if networks is not None and name.split("/", 1)[0] not in networks:
+            if names is not None and name not in names:
                 fh.seek(nbytes, os.SEEK_CUR)
                 continue
             data = np.empty((rows, cols), dtype="<f8")
@@ -424,41 +419,36 @@ def load_checkpoint(path, networks=None) -> dict[str, np.ndarray]:
 
 
 def network_tensors(name: str, net: Network) -> dict[str, np.ndarray]:
-    """Flatten one network (params, Adam moments, step) into named tensors."""
-    out = {}
-    for k, v in net.params.items():
-        out[f"{name}/{k}"] = v
-        out[f"{name}/{k}#m"] = net.adam_m[k]
-        out[f"{name}/{k}#v"] = net.adam_v[k]
-    out[f"{name}/adam_t"] = np.array([[float(net.adam_t)]])
+    """The named tensors a checkpoint holds for one network: its parameters
+    always, and its Adam moments (`#m`, `#v`) and step (`adam_t`) once
+    `adam_step` has run on it. Targets, which only soft updates move, and
+    networks saved before their first update carry parameters only."""
+    out = {f"{name}/{k}": v for k, v in net.params.items()}
+    if net.adam_t > 0:
+        for k, (lo, hi) in net._offsets.items():
+            shape = net.params[k].shape
+            out[f"{name}/{k}#m"] = net.flat_m[lo:hi].reshape(shape)
+            out[f"{name}/{k}#v"] = net.flat_v[lo:hi].reshape(shape)
+        out[f"{name}/adam_t"] = np.array([[float(net.adam_t)]])
     return out
 
 
 def network_from_tensors(name: str, spec: NetSpec,
                          tensors: dict[str, np.ndarray]) -> Network:
-    """Rebuild a network, validating every shape against the spec and
-    rejecting any NaN or infinite value."""
+    """Rebuild a network's parameters, validating every shape against the
+    spec and rejecting any NaN or infinite value. Optimizer state is not
+    read: the network starts with zero moments at step 0."""
     net = Network(spec, rng=None)
     for k, shape in spec.param_shapes().items():
-        for suffix, dest in (("", net.params), ("#m", net.adam_m), ("#v", net.adam_v)):
-            key = f"{name}/{k}{suffix}"
-            if key not in tensors:
-                raise CheckpointError(f"missing tensor {key}")
-            arr = tensors[key]
-            flat_ok = len(shape) == 1 and arr.shape == (1, shape[0])
-            if arr.shape != tuple(shape) and not flat_ok:
-                raise CheckpointError(
-                    f"tensor {key}: shape {arr.shape} incompatible with {shape}")
-            if not np.isfinite(arr).all():
-                raise CheckpointError(f"tensor {key}: non-finite value")
-            dest[k][...] = arr.reshape(shape)
-    t_key = f"{name}/adam_t"
-    if t_key not in tensors:
-        raise CheckpointError(f"missing tensor {t_key}")
-    t = tensors[t_key]
-    # NaN, inf, negative and fractional steps all fail one of these
-    if t.shape != (1, 1) or not (0 <= t[0, 0] < np.inf and t[0, 0] % 1 == 0):
-        raise CheckpointError(f"tensor {t_key}: shape {t.shape} value "
-                              f"{t.reshape(-1)[:1]} is not one whole step count")
-    net.adam_t = int(t[0, 0])
+        key = f"{name}/{k}"
+        if key not in tensors:
+            raise CheckpointError(f"missing tensor {key}")
+        arr = tensors[key]
+        flat_ok = len(shape) == 1 and arr.shape == (1, shape[0])
+        if arr.shape != tuple(shape) and not flat_ok:
+            raise CheckpointError(
+                f"tensor {key}: shape {arr.shape} incompatible with {shape}")
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"tensor {key}: non-finite value")
+        net.params[k][...] = arr.reshape(shape)
     return net

@@ -519,11 +519,13 @@ def train(world_config: WorldConfig, train_config: TrainConfig, seed: int,
 def load_actor_networks(path, world_config: WorldConfig,
                         use_gat: bool = True) -> list[Network]:
     """Actor networks for every agent from a checkpoint, shape-validated
-    against the world configuration. Only the actors' tensors are read."""
+    against the world configuration. Only the actors' parameter tensors are
+    read."""
     from .neural import load_checkpoint
     n = world_config.num_uavs
-    tensors = load_checkpoint(path, {f"actor_{i}" for i in range(n)})
     spec = actor_spec(world_config, use_gat)
+    tensors = load_checkpoint(path, {f"actor_{i}/{k}" for i in range(n)
+                                     for k in spec.param_shapes()})
     missing = [f"actor_{i}" for i in range(n)
                if f"actor_{i}/head_w2" not in tensors]
     if missing:

@@ -10,6 +10,7 @@ from hgam.env import (NUM_POI_BLOCKS, NUM_UAV_BLOCKS, _beam_dirs,
                       apply_action, cast_lasers, cuav_obs_len, max_obs_len,
                       muav_obs_len, observe, step, uav_distances)
 from hgam.errors import ContractError
+from hgam.rollout import joint_observation
 from hgam.world import WorldConfig, generate_scenario
 
 
@@ -136,6 +137,34 @@ def test_fleet_lasers_bit_equal_per_agent_cast(cfg):
         fleet = cast_lasers(s)
         for u in range(len(s.pos)):
             assert fleet[u].tobytes() == per_agent_lasers(s, u).tobytes()
+
+
+@pytest.mark.parametrize("cfg", [WorldConfig(), WorldConfig(global_view=True),
+                                 WorldConfig(num_muavs=4, num_cuavs=2,
+                                             num_lasers=24)])
+def test_joint_observation_at_extreme_spots(cfg):
+    # the exact spots above, each shared by MUAV 0, CUAV c and PoI 0
+    s = generate_scenario(cfg, 0)
+    ox, oy = s.obstacle_xy[0]
+    spots = [(0.0, 8.0), (cfg.area_width, cfg.area_height), (8.0, 0.0),
+             (0.0, 0.0), (ox, oy), (ox + s.obstacle_r[0], oy)]
+    c, lasers = cfg.num_muavs, cfg.num_lasers
+    for k in range(len(spots)):
+        for u in range(cfg.num_uavs):
+            s.pos[u] = spots[(k + u) % len(spots)]
+        s.pos[c] = s.pos[0]
+        s.poi_xy[0] = s.pos[0]
+        obs, _ = joint_observation(s)
+        assert obs.shape == (cfg.num_uavs, max_obs_len(cfg))
+        assert np.isfinite(obs).all()
+        assert np.all(obs[:, :lasers] >= 0.0) and np.all(obs[:, :lasers] <= cfg.fov)
+        # the nearest UAV block: zero unit vector, distance 0, partner's kind
+        assert obs[0, lasers: lasers + 4].tolist() == [0.0, 0.0, 0.0, 1.0]
+        assert obs[c, lasers: lasers + 4].tolist() == [0.0, 0.0, 0.0, 0.0]
+        # CUAV c's entry for MUAV 0 and MUAV 0's nearest PoI block
+        assert obs[c, lasers + 10: lasers + 13].tolist() == [0.0, 0.0, 0.0]
+        poi = lasers + 4 * NUM_UAV_BLOCKS
+        assert obs[0, poi: poi + 3].tolist() == [0.0, 0.0, s.poi_rem[0]]
 
 
 scaled = st.builds(lambda m, scale: m * scale, st.floats(-16.0, 16.0),

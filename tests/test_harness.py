@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import build_state
-from hgam import env, rollout
+from hgam import env, harness, rollout
 from hgam.cli import main
 from hgam.env import step
 from hgam.errors import ConfigError
@@ -123,6 +123,13 @@ def test_checkpoint_policy_evaluation_roundtrip(tmp_path, mini_config):
     nogat = evaluate(no_gat, mini_config, 2, seed=1)
     assert nogat["policy"] == "hgam_no_gat"
     assert nogat != r1  # ablation actually changes behaviour
+
+
+def test_trajectory_export_needs_out_dir(monkeypatch, mini_config):
+    # the trajectories would be built and then dropped; no episode runs
+    monkeypatch.setattr(harness, "generate_scenario", None)
+    with pytest.raises(ConfigError, match="output directory"):
+        evaluate(GreedyPolicy(), mini_config, 1, seed=2, export_traj=True)
 
 
 def test_trajectory_export(tmp_path, mini_config):
@@ -255,14 +262,18 @@ def test_cli_exit_codes(tmp_path):
 
 @pytest.mark.parametrize("key, code", [("actor_0/head_b2", 3),
                                        ("critic_muav/head_b2", 0),
-                                       ("actor_target_1/gat_w#m", 0)])
+                                       ("actor_target_1/gat_w", 0),
+                                       ("actor_0/gat_w#m", 0)])
 def test_cli_evaluate_non_finite_checkpoint_value(tmp_path, capsys, key, code):
-    # evaluate reads only the actors, so a NaN elsewhere does not concern it
+    # evaluate reads only the actors' parameters, so a NaN elsewhere, even
+    # in an actor's moments, does not concern it
     world, _ = write_mini_configs(tmp_path)
     path = tmp_path / "checkpoint.hgam"
     Trainer(load_config(WorldConfig, world), TrainConfig(buffer_capacity=64),
             seed=0).save(path)
     tensors = load_checkpoint(path)
+    # an untrained network has no moments in the file: add a zero one
+    tensors.setdefault(key, np.zeros_like(tensors[key.partition("#")[0]]))
     tensors[key][0, 0] = np.nan
     save_checkpoint(path, tensors)
     assert main(["evaluate", "--config", str(world), "--policy", "hgam",
@@ -270,6 +281,42 @@ def test_cli_evaluate_non_finite_checkpoint_value(tmp_path, capsys, key, code):
                  "--out", str(tmp_path / "eval")]) == code
     if code:
         assert f"tensor {key}: non-finite" in capsys.readouterr().err
+
+
+def with_moments_everywhere(tensors):
+    """The same networks in the layout v1 files had before moments were
+    kept only for updated networks: every network carries `#m`, `#v` and
+    `adam_t`, zero where the new layout leaves them out."""
+    out = dict(tensors)
+    for key, arr in tensors.items():
+        net, _, tensor = key.partition("/")
+        if "#" not in tensor and tensor != "adam_t":
+            out.setdefault(f"{key}#m", np.zeros_like(arr))
+            out.setdefault(f"{key}#v", np.zeros_like(arr))
+            out.setdefault(f"{net}/adam_t", np.zeros((1, 1)))
+    return out
+
+
+@pytest.mark.parametrize("episodes", [0, 2], ids=["fresh", "trained"])
+def test_cli_evaluate_reads_both_checkpoint_layouts(tmp_path, episodes):
+    world, trainc = write_mini_configs(tmp_path)
+    trainer = Trainer(load_config(WorldConfig, world),
+                      load_config(TrainConfig, trainc), seed=2)
+    for e in range(1, episodes + 1):
+        trainer.run_episode(e)
+    new, old = tmp_path / "new.hgam", tmp_path / "old.hgam"
+    trainer.save(new)
+    tensors = load_checkpoint(new)
+    save_checkpoint(old, with_moments_everywhere(tensors))
+    assert len(load_checkpoint(old)) > len(tensors)
+    reports = []
+    for ckpt in (new, old):
+        out = tmp_path / f"eval_{ckpt.stem}"
+        assert main(["evaluate", "--config", str(world), "--policy", "hgam",
+                     "--checkpoint", str(ckpt), "--episodes", "2",
+                     "--out", str(out)]) == 0
+        reports.append((out / "evaluation_report.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("command, line", [

@@ -344,12 +344,34 @@ def test_checkpoint_roundtrip_exact(tmp_path):
     net = Network(SMALL_ACTOR, rng)
     net.adam_t = 17
     net.flat_m[...] = rng.normal(0, 1, net.flat_m.shape)
+    net.flat_v[...] = rng.uniform(0, 1, net.flat_v.shape)
     path = tmp_path / "net.hgam"
-    save_checkpoint(path, network_tensors("actor_0", net))
-    loaded = network_from_tensors("actor_0", SMALL_ACTOR, load_checkpoint(path))
+    saved = network_tensors("actor_0", net)
+    save_checkpoint(path, saved)
+    tensors = load_checkpoint(path)
+    # parameters, moments and step come back bit for bit as tensors
+    assert sorted(tensors) == sorted(saved)
+    for key, arr in saved.items():
+        assert tensors[key].tobytes() == np.asarray(arr, dtype="<f8").tobytes()
+    assert tensors["actor_0/adam_t"].tolist() == [[17.0]]
+    # a rebuilt network holds the parameters and fresh optimizer state
+    loaded = network_from_tensors("actor_0", SMALL_ACTOR, tensors)
     assert np.array_equal(loaded.flat, net.flat)
-    assert np.array_equal(loaded.flat_m, net.flat_m)
-    assert loaded.adam_t == 17
+    assert loaded.adam_t == 0 and not loaded.flat_m.any() and not loaded.flat_v.any()
+
+
+def test_checkpoint_moments_only_after_adam_step():
+    net = Network(SMALL_ACTOR, np.random.default_rng(3))
+    params = {f"a/{k}" for k in SMALL_ACTOR.param_shapes()}
+    assert set(network_tensors("a", net)) == params
+    grads = {k: np.ones_like(v) for k, v in net.params.items()}
+    adam_step(net, grads, 0.01)
+    moments = {f"{k}#{s}" for k in params for s in "mv"}
+    assert set(network_tensors("a", net)) == params | moments | {"a/adam_t"}
+    # a clone is a target: parameters only, however far its source has run
+    target = net.clone()
+    assert np.array_equal(target.flat, net.flat)
+    assert set(network_tensors("a", target)) == params
 
 
 def test_checkpoint_header(tmp_path):
@@ -378,20 +400,21 @@ def test_checkpoint_unsupported_version(tmp_path):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("networks", [None, {"a"}], ids=["all", "skipped"])
-def test_checkpoint_truncated(tmp_path, networks):
-    # the cut falls in the last record, one of b's, which {"a"} seeks past
+@pytest.mark.parametrize("names", [None, {f"a/{k}" for k in SMALL_ACTOR.param_shapes()}],
+                         ids=["all", "skipped"])
+def test_checkpoint_truncated(tmp_path, names):
+    # the cut falls in the last record, one of b's, which a's names seek past
     net = Network(SMALL_ACTOR, np.random.default_rng(3))
     path = tmp_path / "net.hgam"
     save_checkpoint(path, {**network_tensors("a", net), **network_tensors("b", net)})
     blob = path.read_bytes()
     path.write_bytes(blob[: len(blob) - 9])
     with pytest.raises(CheckpointError, match="truncated tensor b/"):
-        load_checkpoint(path, networks)
+        load_checkpoint(path, names)
 
 
-@pytest.mark.parametrize("networks", [None, {"other"}], ids=["all", "skipped"])
-def test_checkpoint_oversized_header_fails_before_allocating(tmp_path, networks):
+@pytest.mark.parametrize("names", [None, {"a/gat_w"}], ids=["all", "skipped"])
+def test_checkpoint_oversized_header_fails_before_allocating(tmp_path, names):
     # 2**31 x 4 doubles would be a 64 GiB array; the file holds 16 bytes
     path = tmp_path / "huge.hgam"
     name = b"a/head_w2"
@@ -400,7 +423,7 @@ def test_checkpoint_oversized_header_fails_before_allocating(tmp_path, networks)
                      + (2 ** 31).to_bytes(4, "little") + (4).to_bytes(4, "little")
                      + bytes(16))
     with pytest.raises(CheckpointError, match="truncated tensor a/head_w2"):
-        load_checkpoint(path, networks)
+        load_checkpoint(path, names)
 
 
 def test_checkpoint_selected_networks_bit_identical(tmp_path):
@@ -410,12 +433,16 @@ def test_checkpoint_selected_networks_bit_identical(tmp_path):
     for name in ("actor_0", "actor_01", "actor_target_0", "critic_muav"):
         net = Network(SMALL_ACTOR, rng)
         net.flat_m[...] = rng.normal(0, 1, net.flat_m.shape)
+        net.adam_t = 3
         tensors.update(network_tensors(name, net))
     path = tmp_path / "nets.hgam"
     save_checkpoint(path, tensors)
     full = load_checkpoint(path)
-    part = load_checkpoint(path, {"actor_0"})
-    assert sorted(part) == sorted(k for k in full if k.startswith("actor_0/"))
+    # actor_0's parameters and step, not its moments, and one absent name
+    names = {f"actor_0/{k}" for k in SMALL_ACTOR.param_shapes()}
+    names |= {"actor_0/adam_t", "actor_0/absent"}
+    part = load_checkpoint(path, names)
+    assert sorted(part) == sorted(names - {"actor_0/absent"})
     for key, arr in part.items():
         assert arr.dtype == full[key].dtype and arr.shape == full[key].shape
         assert arr.tobytes() == full[key].tobytes()
@@ -439,20 +466,7 @@ def test_checkpoint_missing_network(tmp_path):
         network_from_tensors("b", SMALL_ACTOR, load_checkpoint(path))
 
 
-@pytest.mark.parametrize("adam_t", [np.zeros((1, 0)), [[np.nan]], [[np.inf]],
-                                    [[-5.0]], [[2.5]]],
-                         ids=["empty", "nan", "inf", "negative", "fractional"])
-def test_checkpoint_rejects_malformed_adam_t(tmp_path, adam_t):
-    net = Network(SMALL_ACTOR, np.random.default_rng(3))
-    path = tmp_path / "net.hgam"
-    save_checkpoint(path, {**network_tensors("a", net), "a/adam_t": np.array(adam_t)})
-    with pytest.raises(CheckpointError, match="a/adam_t"):
-        network_from_tensors("a", SMALL_ACTOR, load_checkpoint(path))
-
-
-@pytest.mark.parametrize("key, value", [("a/head_b2", np.nan),
-                                        ("a/gat_w#m", np.inf),
-                                        ("a/enc_cuav_b1#v", -np.inf)])
+@pytest.mark.parametrize("key, value", [("a/head_b2", np.nan)])
 def test_checkpoint_rejects_non_finite_values(tmp_path, key, value):
     net = Network(SMALL_ACTOR, np.random.default_rng(3))
     tensors = {k: v.copy() for k, v in network_tensors("a", net).items()}

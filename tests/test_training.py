@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hgam import rollout
 from hgam.errors import CheckpointError, ConfigError, ContractError
 from hgam.hetgraph import global_feature_width
-from hgam.neural import LINEAR, NetSpec, Network, forward
+from hgam.neural import LINEAR, NetSpec, Network, forward, load_checkpoint
 from hgam.training import (PRIORITY_EPS, ReplayStore, SumTree, TrainConfig,
                            Trainer, actor_spec, actor_update, critic_spec,
                            critic_target_values, critic_update,
@@ -573,6 +573,26 @@ def test_train_writes_report_and_checkpoints(tmp_path):
                          "C,omega,upsilon,D,F,sigma,loss_critic_mean")
     assert len(report) == 4
     assert (tmp_path / "checkpoint.hgam").exists()
+
+
+@pytest.mark.parametrize("episodes", [0, 2], ids=["fresh", "trained"])
+def test_checkpoint_moments_of_updated_networks_only(tmp_path, episodes):
+    wc, tc = quick_configs(max_episodes=2, e_min=1)
+    trainer = Trainer(wc, tc, seed=0)
+    for e in range(1, episodes + 1):
+        trainer.run_episode(e)
+    trainer.save(tmp_path / "checkpoint.hgam")
+    held: dict[str, set] = {}
+    for key in load_checkpoint(tmp_path / "checkpoint.hgam"):
+        name, _, tensor = key.partition("/")
+        held.setdefault(name, set()).add(tensor)
+    assert sorted(held) == sorted(trainer.network_map())
+    for name, net in trainer.network_map().items():
+        want = set(net.params)
+        if episodes and "_target_" not in name:
+            assert net.adam_t > 0
+            want |= {f"{k}#{s}" for k in net.params for s in "mv"} | {"adam_t"}
+        assert held[name] == want, name
 
 
 def test_train_deterministic_rows(tmp_path):
