@@ -31,7 +31,13 @@ The runs (about 10 s in total, single-threaded BLAS):
   and actors run on masked local graphs, which the runs above never do;
 - `inspect-checkpoint` on the default-world checkpoint, its listing on
   stdout kept as `stdout.txt`. It reads every tensor, while the `evaluate`
-  runs read only the actors.
+  runs read only the actors;
+- `train` on the mini world, seed 3, with a train config written next to
+  the run directories (`e_min: 1`, 8 episodes, batch 16, capacity 40).
+  Its episodes add more transitions than the replay store holds, so the
+  ring wraps: updates sample the newest transition, whose successor the
+  store holds apart, and multi-step chains that stop at the ring's
+  cursor. No other run fills its store.
 
 hgam is imported from this checkout's `src/`.
 
@@ -57,6 +63,7 @@ ROOT = Path(__file__).resolve().parent.parent
 MINI = str(ROOT / "configs" / "mini_world.yaml")
 FLEET_WORLD = "num_muavs: 3\nnum_cuavs: 2\ncomm_radius: 6.0\n"
 FLEET_TRAIN = "e_min: 1\nmax_episodes: 3\nbatch_size: 32\nbuffer_capacity: 4096\n"
+WRAP_TRAIN = "e_min: 1\nmax_episodes: 8\nbatch_size: 16\nbuffer_capacity: 40\n"
 
 
 def runs(out: Path):
@@ -69,6 +76,8 @@ def runs(out: Path):
     fleet_train = out / "fleet_train.yaml"
     fleet_train.write_text(FLEET_TRAIN, encoding="utf-8")
     ckpt_fleet = str(out / "train_fleet_learn" / "checkpoint.hgam")
+    wrap_train = out / "wrap_train.yaml"
+    wrap_train.write_text(WRAP_TRAIN, encoding="utf-8")
     return [
         ("train_mini", ["train", "--config", MINI, "--seed", "3",
                         "--episodes", "54"]),
@@ -99,6 +108,8 @@ def runs(out: Path):
         # path the listing prints is the same in every run
         ("inspect_default", ["inspect-checkpoint", "--checkpoint",
                              "train_default/checkpoint.hgam"]),
+        ("train_mini_wrap", ["train", "--config", MINI, "--train-config",
+                             str(wrap_train), "--seed", "3"]),
     ]
 
 

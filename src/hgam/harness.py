@@ -116,6 +116,8 @@ def evaluate(policy, world_config: WorldConfig, episodes: int, seed: int,
     the report (also written as JSON when out_dir is given)."""
     if episodes < 1:
         raise ConfigError("episodes must be >= 1")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     if export_traj and out_dir is None:
         raise ConfigError("trajectory export needs an output directory")
     if world_config.num_muavs < 1 or world_config.num_cuavs < 1:

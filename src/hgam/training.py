@@ -172,19 +172,25 @@ def nstep_return(rewards: np.ndarray, oks: np.ndarray, gamma: float) -> np.ndarr
 
 
 class ReplayStore:
-    """Ring buffer of joint transitions shared by all per-agent trees."""
+    """Ring buffer of joint transitions shared by all per-agent trees.
+
+    Each observation is kept once. A transition's successor is the
+    observation and neighbour rows of the next slot, except for the newest
+    transition, whose successor is held apart until the next `add`. So the
+    store takes a transition only when it continues the newest episode step
+    by step, with the newest successor as its `obs`, or when the newest
+    transition is terminal: every episode ends with a terminal transition."""
 
     def __init__(self, capacity: int, num_agents: int, obs_width: int):
         self.capacity = capacity
         self.obs = np.zeros((capacity, num_agents, obs_width))
-        self.next_obs = np.zeros((capacity, num_agents, obs_width))
         self.actions = np.zeros((capacity, num_agents, 2))
         self.rewards = np.zeros((capacity, num_agents))
         self.done = np.zeros(capacity, dtype=bool)
-        self.episode = np.full(capacity, -1, dtype=np.int64)
-        self.step = np.zeros(capacity, dtype=np.int64)
         self.nbrs = np.zeros((capacity, num_agents, 2), dtype=np.int64)
-        self.next_nbrs = np.zeros((capacity, num_agents, 2), dtype=np.int64)
+        self.held_obs = np.zeros((num_agents, obs_width))
+        self.held_nbrs = np.zeros((num_agents, 2), dtype=np.int64)
+        self.newest = None   # (episode, step, done) of the newest transition
         self.size = 0
         self.cursor = 0
 
@@ -192,26 +198,48 @@ class ReplayStore:
             nbrs, next_nbrs) -> int:
         """Store one joint transition: padded observations (U, W), actions
         (U, 2), rewards (U,) and neighbor rows (U, 2) (-1 = absent) of the
-        step with index `step` of `episode`. Returns its slot."""
+        step with index `step` of `episode`. Returns its slot. Raises
+        ContractError when the transition neither continues the newest
+        episode at its next step nor follows a terminal transition."""
+        if self.newest is not None:
+            last_episode, last_step, last_done = self.newest
+            if not last_done and (episode, step) != (last_episode, last_step + 1):
+                raise ContractError(
+                    f"transition (episode {episode}, step {step}) does not "
+                    f"continue unfinished episode {last_episode} after step "
+                    f"{last_step}")
         i = self.cursor
         self.obs[i] = obs
-        self.next_obs[i] = next_obs
         self.actions[i] = actions
         self.rewards[i] = rewards
         self.done[i] = done
-        self.episode[i] = episode
-        self.step[i] = step
         self.nbrs[i] = nbrs
-        self.next_nbrs[i] = next_nbrs
+        self.held_obs[...] = next_obs
+        self.held_nbrs[...] = next_nbrs
+        self.newest = (episode, step, bool(done))
         self.cursor = (i + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
         return i
 
+    def successor(self, idxs: np.ndarray):
+        """Observations (B, U, W) and neighbor rows (B, U, 2) of the state
+        each slot's transition led to: slot i+1's, or the held successor
+        when slot i+1 is the cursor. For a terminal slot the rows are some
+        finite state, not necessarily its successor (the next episode's
+        first state); a terminal transition's target never reads them."""
+        nxt = (np.asarray(idxs, dtype=np.int64) + 1) % self.capacity
+        obs, nbrs = self.obs[nxt], self.nbrs[nxt]
+        held = nxt == self.cursor
+        obs[held] = self.held_obs
+        nbrs[held] = self.held_nbrs
+        return obs, nbrs
+
     def chain(self, idxs: np.ndarray, n: int):
-        """Follow up to n consecutive same-episode transitions from each
-        index (robust to ring overwrites). Returns (per-step inclusion mask
-        (n, B), per-step slot indices (n, B), steps summed (B,), bootstrap
-        slot (B,), terminal flag (B,))."""
+        """Follow up to n consecutive transitions of one episode from each
+        index: slot i+1 continues slot i unless slot i is terminal or slot
+        i+1 is the cursor (the oldest or an empty slot). Returns (per-step
+        inclusion mask (n, B), per-step slot indices (n, B), steps summed
+        (B,), bootstrap slot (B,), terminal flag (B,))."""
         b = len(idxs)
         oks = np.zeros((n, b), dtype=bool)
         js = np.zeros((n, b), dtype=np.int64)
@@ -219,11 +247,9 @@ class ReplayStore:
         count = np.zeros(b, dtype=np.int64)
         boot = np.asarray(idxs, dtype=np.int64).copy()
         terminal = np.zeros(b, dtype=bool)
-        base_ep = self.episode[idxs]
-        base_step = self.step[idxs]
         for k in range(n):
             j = (idxs + k) % self.capacity
-            ok = valid & (self.episode[j] == base_ep) & (self.step[j] == base_step + k)
+            ok = valid & (j != self.cursor) if k else valid
             oks[k] = ok
             js[k] = j
             count = np.where(ok, k + 1, count)
@@ -316,6 +342,8 @@ def actor_update(actor: Network, critic: Network,
 class Trainer:
     def __init__(self, world_config: WorldConfig, train_config: TrainConfig,
                  seed: int):
+        if seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {seed}")
         self.wc = world_config
         self.tc = train_config
         self.seed = seed
@@ -380,9 +408,8 @@ class Trainer:
         oks, js, count, boot, terminal = self.store.chain(idxs, tc.n_step)
 
         kinds = self.wc.kinds
-        next_obs = self.store.next_obs[boot]
-        a_prime = actor_actions(self.actor_targets, self.wc, next_obs,
-                                self.store.next_nbrs[boot])
+        next_obs, next_nbrs = self.store.successor(boot)
+        a_prime = actor_actions(self.actor_targets, self.wc, next_obs, next_nbrs)
         next_gfeats = global_feature_batch(next_obs, a_prime, self.wc)
 
         cur_obs = self.store.obs[idxs]
@@ -441,8 +468,8 @@ class Trainer:
         losses = []
 
         def learn(state, t, obs, nbrs, actions, rewards, events):
-            # the transition stores the successor, terminal or not, which
-            # the next action then reuses
+            # the store holds the successor, terminal or not, until the next
+            # step's transition stores it as its obs; the next action reuses it
             next_obs, next_nbrs = joint_observation(state, events)
             slot = self.store.add(
                 obs=obs, actions=actions, rewards=rewards, next_obs=next_obs,

@@ -167,6 +167,61 @@ def test_joint_observation_at_extreme_spots(cfg):
         assert obs[0, poi: poi + 3].tolist() == [0.0, 0.0, s.poi_rem[0]]
 
 
+def toward_nearest_wall(cfg, pos):
+    """Unit actions (U, 2) toward each UAV's nearest enclosure wall."""
+    gaps = np.stack([pos[:, 0], cfg.area_width - pos[:, 0],
+                     pos[:, 1], cfg.area_height - pos[:, 1]], axis=1)
+    dirs = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.0, 1.0]])
+    return dirs[np.argmin(gaps, axis=1)]
+
+
+@pytest.mark.parametrize("cfg", [WorldConfig(), WorldConfig(global_view=True),
+                                 WorldConfig(num_muavs=4, num_cuavs=2,
+                                             num_lasers=24)])
+@pytest.mark.parametrize("move", ["zero", "wall"])
+@pytest.mark.parametrize("headroom", [0.0, 0.75, 10.0])   # in charge quanta
+def test_step_at_extreme_spots(cfg, move, headroom):
+    # the spots of the observation test, each shared by MUAV 0, CUAV c and
+    # PoI 0, with MUAV 0 short of `headroom` charge quanta
+    c, e0, r = cfg.num_muavs, cfg.charge_per_step, cfg.uav_radius
+    for k in range(6):
+        s = generate_scenario(cfg, 0)
+        ox, oy = s.obstacle_xy[0]
+        spots = [(0.0, 8.0), (cfg.area_width, cfg.area_height), (8.0, 0.0),
+                 (0.0, 0.0), (ox, oy), (ox + s.obstacle_r[0], oy)]
+        for u in range(cfg.num_uavs):
+            s.pos[u] = spots[(k + u) % len(spots)]
+        s.pos[c] = s.pos[0]
+        s.poi_xy[0] = s.pos[0]
+        s.ed[0] = s.ec[0] + headroom * e0
+        gap, rem = s.ed[0] - s.ec[0], s.poi_rem[0]
+        actions = (np.zeros((cfg.num_uavs, 2)) if move == "zero"
+                   else toward_nearest_wall(cfg, s.pos))
+        _, ev = step(s, actions)
+
+        for arr in (ev.collected, ev.dist_moved, ev.min_laser, ev.lasers,
+                    ev.uav_dists, ev.poi_dists):
+            assert np.isfinite(arr).all()
+        assert np.all(ev.lasers >= 0.0) and np.all(ev.lasers <= cfg.fov)
+        x, y = s.pos[:, 0], s.pos[:, 1]
+        hit = ((x < r) | (x > cfg.area_width - r) | (y < r)
+               | (y > cfg.area_height - r))
+        d = np.linalg.norm(s.obstacle_xy[None] - s.pos[:, None], axis=2)
+        hit |= np.any(d < s.obstacle_r + r, axis=1)
+        assert ev.collided.tolist() == hit.tolist()
+        assert s.done_reason == ("collision" if hit.any() else None)
+
+        charge = ev.charge[0]
+        assert charge.target == 0
+        assert charge.delivered == min(gap, e0)
+        assert charge.delivered + charge.wasted == e0
+        assert all(np.isfinite([o.delivered, o.wasted]).all() for o in ev.charge)
+        # every take is an exact decrement, so their exact sum is the loss
+        takes = [(m, take) for m, p, take in ev.collection_breakdown if p == 0]
+        assert takes[0][0] == 0 and takes[0][1] > 0.0
+        assert rem - s.poi_rem[0] == math.fsum(take for _, take in takes)
+
+
 scaled = st.builds(lambda m, scale: m * scale, st.floats(-16.0, 16.0),
                    st.sampled_from([1e-150, 1.0, 1e150]))
 

@@ -354,6 +354,21 @@ def test_cli_rejects_ill_typed_config_values(tmp_path, capsys, command, line):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, seed", [("evaluate", "-1"),
+                                           ("export-traj", "-1"),
+                                           ("train", "-2")])
+def test_cli_rejects_negative_seed(tmp_path, capsys, command, seed):
+    world, _ = write_mini_configs(tmp_path)
+    out = tmp_path / "run"
+    argv = [command, "--config", str(world), "--episodes", "1", "--seed", seed,
+            "--out", str(out)]
+    if command != "train":
+        argv += ["--policy", "greedy"]
+    assert main(argv) == 2
+    assert f"error: seed must be >= 0, got {seed}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_export_traj_and_inspect(tmp_path, capsys):
     world, trainc = write_mini_configs(tmp_path)
     out = tmp_path / "run"

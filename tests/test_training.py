@@ -233,16 +233,20 @@ def test_soft_update_scalar_example():
 
 # --- replay store and chains --------------------------------------------------------
 
+def transition(k, episode=1, done=False):
+    """Step k of a two-agent episode: its state is filled with k, its
+    successor with k + 1."""
+    return dict(obs=np.full((2, 4), float(k)), actions=np.zeros((2, 2)),
+                rewards=np.array([float(k + 1), 10.0 * (k + 1)]),
+                next_obs=np.full((2, 4), float(k + 1)), done=done,
+                episode=episode, step=k, nbrs=np.zeros((2, 2), dtype=np.int64),
+                next_nbrs=np.zeros((2, 2), dtype=np.int64))
+
+
 def store_with_episode(num_steps, capacity=16, done_at=None):
     store = ReplayStore(capacity, num_agents=2, obs_width=4)
     for k in range(num_steps):
-        done = (done_at is not None and k == done_at)
-        store.add(
-            obs=np.full((2, 4), float(k)), actions=np.zeros((2, 2)),
-            rewards=np.array([float(k + 1), 10.0 * (k + 1)]),
-            next_obs=np.full((2, 4), float(k + 1)), done=done,
-            episode=1, step=k, nbrs=np.zeros((2, 2), dtype=np.int64),
-            next_nbrs=np.zeros((2, 2), dtype=np.int64))
+        store.add(**transition(k, done=done_at is not None and k == done_at))
     return store
 
 
@@ -263,18 +267,16 @@ def test_chain_stops_at_done():
     assert terminal[0]
 
 
-def test_chain_respects_episode_boundary():
-    store = ReplayStore(16, 2, 4)
-    for ep in (1, 2):
-        for k in range(3):
-            store.add(obs=np.zeros((2, 4)), actions=np.zeros((2, 2)),
-                      rewards=np.array([1.0, 1.0]), next_obs=np.zeros((2, 4)),
-                      done=False, episode=ep, step=k,
-                      nbrs=np.zeros((2, 2), np.int64),
-                      next_nbrs=np.zeros((2, 2), np.int64))
-    oks, js, count, boot, terminal = store.chain(np.array([1]), 3)
-    assert count[0] == 2          # steps 1,2 of episode 1 only
-    assert boot[0] == 2
+def test_add_refuses_transition_that_breaks_an_episode():
+    store = store_with_episode(3)     # episode 1, steps 0-2, not finished
+    for episode, k in ((2, 0), (1, 4), (1, 2)):
+        with pytest.raises(ContractError, match="does not continue"):
+            store.add(**transition(k, episode=episode))
+    assert (store.size, store.cursor) == (3, 3)
+    store.add(**transition(3, done=True))
+    assert store.add(**transition(0, episode=2)) == 4   # a new episode
+    oks, js, count, boot, terminal = store.chain(np.array([2]), 3)
+    assert count[0] == 2 and boot[0] == 3 and terminal[0]
 
 
 def test_chain_detects_ring_overwrite():
@@ -284,6 +286,80 @@ def test_chain_detects_ring_overwrite():
     oks, js, count, boot, terminal = store.chain(np.array([1]), 3)
     assert count[0] == 1
     assert boot[0] == 1
+
+
+class TwoCopyStore:
+    """Reference layout: each slot keeps its own successor and (episode,
+    step), and a chain follows slots while they hold the next step of the
+    same episode."""
+
+    def __init__(self, capacity, num_agents, obs_width):
+        self.capacity = capacity
+        self.next_obs = np.zeros((capacity, num_agents, obs_width))
+        self.next_nbrs = np.zeros((capacity, num_agents, 2), dtype=np.int64)
+        self.done = np.zeros(capacity, dtype=bool)
+        self.episode = np.full(capacity, -1, dtype=np.int64)
+        self.step = np.zeros(capacity, dtype=np.int64)
+        self.cursor = 0
+
+    def add(self, *, next_obs, done, episode, step, next_nbrs, **_):
+        i = self.cursor
+        self.next_obs[i], self.next_nbrs[i] = next_obs, next_nbrs
+        self.done[i], self.episode[i], self.step[i] = done, episode, step
+        self.cursor = (i + 1) % self.capacity
+
+    def chain(self, idxs, n):
+        b = len(idxs)
+        oks, js = np.zeros((n, b), dtype=bool), np.zeros((n, b), dtype=np.int64)
+        valid, count = np.ones(b, dtype=bool), np.zeros(b, dtype=np.int64)
+        boot, terminal = idxs.copy(), np.zeros(b, dtype=bool)
+        for k in range(n):
+            j = (idxs + k) % self.capacity
+            ok = (valid & (self.episode[j] == self.episode[idxs])
+                  & (self.step[j] == self.step[idxs] + k))
+            oks[k], js[k] = ok, j
+            count = np.where(ok, k + 1, count)
+            boot = np.where(ok, j, boot)
+            terminal = np.where(ok, self.done[j], terminal)
+            valid = ok & ~self.done[j]
+        return oks, js, count, boot, terminal
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=8), st.booleans(),
+       st.integers(1, 12), st.integers(1, 4), st.randoms(use_true_random=False))
+def test_store_matches_two_copy_reference(lengths, last_done, capacity, n, rnd):
+    # every episode but the last ends with a terminal transition; the ring
+    # wraps whenever the stream is longer than the capacity
+    store, ref = ReplayStore(capacity, 2, 3), TwoCopyStore(capacity, 2, 3)
+    state = 0
+
+    def observed(s):
+        return (np.arange(6.0).reshape(2, 3) + 10.0 * s,
+                np.array([[s, -1], [rnd.randint(-1, 1), s]], dtype=np.int64))
+
+    for e, length in enumerate(lengths):
+        obs, nbrs = observed(state)
+        for k in range(length):
+            state += 1
+            next_obs, next_nbrs = observed(state)
+            row = dict(obs=obs, actions=np.zeros((2, 2)), rewards=np.zeros(2),
+                       next_obs=next_obs, nbrs=nbrs, next_nbrs=next_nbrs,
+                       done=k == length - 1 and (e < len(lengths) - 1 or last_done),
+                       episode=e, step=k)
+            store.add(**row)
+            ref.add(**row)
+            obs, nbrs = next_obs, next_nbrs
+        state += 1
+    idxs = np.arange(store.size)
+    got, want = store.chain(idxs, n), ref.chain(idxs, n)
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)
+    boot, terminal = got[3], got[4]
+    next_obs, next_nbrs = store.successor(boot)
+    live = ~terminal
+    np.testing.assert_array_equal(next_obs[live], ref.next_obs[boot[live]])
+    np.testing.assert_array_equal(next_nbrs[live], ref.next_nbrs[boot[live]])
 
 
 def test_buffer_fifo_capacity():
