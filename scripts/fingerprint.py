@@ -37,7 +37,9 @@ The runs (about 10 s in total, single-threaded BLAS):
   Its episodes add more transitions than the replay store holds, so the
   ring wraps: updates sample the newest transition, whose successor the
   store holds apart, and multi-step chains that stop at the ring's
-  cursor. No other run fills its store.
+  cursor. No other run fills its store;
+- `compare` on the mini world with the mini-world checkpoint, 3
+  episodes, its table on stdout kept as `stdout.txt`.
 
 hgam is imported from this checkout's `src/`.
 
@@ -110,6 +112,8 @@ def runs(out: Path):
                              "train_default/checkpoint.hgam"]),
         ("train_mini_wrap", ["train", "--config", MINI, "--train-config",
                              str(wrap_train), "--seed", "3"]),
+        ("compare_mini", ["compare", "--config", MINI, "--checkpoint", ckpt,
+                          "--episodes", "3"]),
     ]
 
 
@@ -128,8 +132,8 @@ def fingerprint(out: Path) -> list[str]:
     os.chdir(out)
     try:
         for name, argv in runs(out):
-            if argv[0] == "inspect-checkpoint":
-                # no --out: the listing it prints is its output
+            if argv[0] in ("inspect-checkpoint", "compare"):
+                # no --out: what it prints is its output
                 (out / name).mkdir(exist_ok=True)
                 sink = open(out / name / "stdout.txt", "w")
             else:

@@ -1,4 +1,5 @@
-"""Command-line entry points: train, evaluate, export-traj, inspect-checkpoint."""
+"""Command-line entry points: train, evaluate, compare, export-traj,
+inspect-checkpoint."""
 
 from __future__ import annotations
 
@@ -11,6 +12,9 @@ from .harness import POLICY_KINDS, evaluate, make_policy
 from .neural import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, load_checkpoint
 from .training import TrainConfig, train
 from .world import WorldConfig, load_config
+
+# the metrics `evaluate` summarises and `compare` tabulates, in print order
+SUMMARY_METRICS = ("C", "omega", "upsilon", "D", "F")
 
 
 def _world_config(args) -> WorldConfig:
@@ -40,11 +44,25 @@ def _cmd_evaluate(args) -> int:
     report = evaluate(policy, config, args.episodes, args.seed,
                       out_dir=args.out, export_traj=False)
     agg = report["aggregate"]
-    line = "  ".join(f"{k}={agg[k]['mean']:.4f}" for k in
-                     ("C", "omega", "upsilon", "D", "F"))
+    line = "  ".join(f"{k}={agg[k]['mean']:.4f}" for k in SUMMARY_METRICS)
     print(f"{report['policy']} over {args.episodes} episodes: {line}")
     if args.out:
         print(f"report written to {args.out}/evaluation_report.json")
+    return 0
+
+
+def _cmd_compare(args) -> int:
+    config = _world_config(args)
+    kinds = ("random", "greedy", "hgam", "hgam_no_gat")[:4 if args.checkpoint else 2]
+    policies = [make_policy(kind, config, args.checkpoint) for kind in kinds]
+    aggs = [evaluate(p, config, args.episodes, args.seed)["aggregate"]
+            for p in policies]
+    header = "policy      " + "".join(f"{m:>10}" for m in SUMMARY_METRICS)
+    print(header)
+    print("-" * len(header))
+    for kind, agg in zip(kinds, aggs):
+        cells = "".join(f"{agg[m]['mean']:>10.3f}" for m in SUMMARY_METRICS)
+        print(f"{kind:<12}{cells}")
     return 0
 
 
@@ -98,6 +116,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", required=traj, help="output directory")
         p.set_defaults(func=func)
+
+    p_cmp = sub.add_parser("compare", help="tabulate the baselines' metrics "
+                           "(and a checkpoint's) on the same seeds")
+    p_cmp.add_argument("--config", help="world config file")
+    p_cmp.add_argument("--checkpoint", help="also evaluate a trained policy, "
+                       "with and without neighbor aggregation")
+    p_cmp.add_argument("--episodes", type=int, default=20)
+    p_cmp.add_argument("--seed", type=int, default=0)
+    p_cmp.set_defaults(func=_cmd_compare)
 
     p_ins = sub.add_parser("inspect-checkpoint", help="list checkpoint tensors")
     p_ins.add_argument("--checkpoint", required=True)

@@ -16,10 +16,11 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ConfigError, ContractError
 from .world import WorldConfig, WorldState, norms
 
 CAUSE_COLLISION = "collision"
@@ -334,6 +335,17 @@ def _fmt(value) -> str:
     if isinstance(value, float) or isinstance(value, np.floating):
         return repr(float(value))
     return str(value)
+
+
+def make_out_dir(path) -> Path:
+    """Create the output directory `path` and its parents; ConfigError when
+    it cannot be made (say, a file already holds its name)."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output directory {path}: {exc.strerror}") from exc
+    return out
 
 
 def write_csv(path, columns, rows) -> None:

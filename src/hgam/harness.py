@@ -5,15 +5,14 @@ exports."""
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 import numpy as np
 
-from .env import write_csv, write_poi_csv
+from .env import make_out_dir, write_csv, write_poi_csv
 from .errors import ConfigError
 from .rollout import run_episode
 from .training import actor_actions, load_actor_networks
-from .world import WorldConfig, WorldState, generate_scenario
+from .world import WorldConfig, WorldState, check_run, generate_scenario
 
 POLICY_KINDS = ("greedy", "random", "hgam", "hgam_no_gat")
 
@@ -116,16 +115,10 @@ def evaluate(policy, world_config: WorldConfig, episodes: int, seed: int,
     the report (also written as JSON when out_dir is given)."""
     if episodes < 1:
         raise ConfigError("episodes must be >= 1")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    check_run(world_config, seed)
     if export_traj and out_dir is None:
         raise ConfigError("trajectory export needs an output directory")
-    if world_config.num_muavs < 1 or world_config.num_cuavs < 1:
-        raise ConfigError("evaluation needs at least one MUAV and one CUAV "
-                          "(the report metrics are undefined otherwise)")
-    out = Path(out_dir) if out_dir is not None else None
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
+    out = make_out_dir(out_dir) if out_dir is not None else None
     rows = []
     traj_rows: list = []
 

@@ -5,11 +5,10 @@ shared critic per agent type, and soft target syncs."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .env import max_obs_len, write_csv
+from .env import make_out_dir, max_obs_len, write_csv
 from .errors import CheckpointError, ConfigError, ContractError
 from .hetgraph import (global_action_slice, global_feature_batch,
                        global_feature_width, local_feature_batch,
@@ -18,7 +17,7 @@ from .neural import (LINEAR, TANH, NetSpec, Network, adam_step, backward,
                      forward, network_from_tensors, network_tensors,
                      save_checkpoint)
 from .rollout import joint_observation, run_episode
-from .world import WorldConfig, check_field_types, generate_scenario
+from .world import WorldConfig, check_field_types, check_run, generate_scenario
 
 PRIORITY_EPS = 1e-4
 CHECKPOINT_INTERVAL = 100   # episodes between numbered checkpoints in Trainer.run
@@ -342,15 +341,11 @@ def actor_update(actor: Network, critic: Network,
 class Trainer:
     def __init__(self, world_config: WorldConfig, train_config: TrainConfig,
                  seed: int):
-        if seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {seed}")
+        check_run(world_config, seed)
         self.wc = world_config
         self.tc = train_config
         self.seed = seed
         self.num_agents = world_config.num_uavs
-        if world_config.num_muavs < 1 or world_config.num_cuavs < 1:
-            raise ConfigError("training needs at least one MUAV and one CUAV "
-                              "(the episode report metrics are undefined otherwise)")
 
         ss = np.random.SeedSequence(seed)
         init_ss, noise_ss, sample_ss = ss.spawn(3)
@@ -513,8 +508,7 @@ class Trainer:
         save_checkpoint(path, tensors)
 
     def run(self, out_dir) -> list[dict]:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        out = make_out_dir(out_dir)
         final_ckpt = out / "checkpoint.hgam"
         self.save(final_ckpt)  # fail fast on an unwritable destination
         rows = []

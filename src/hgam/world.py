@@ -125,6 +125,16 @@ def check_field_types(config) -> None:
             raise ConfigError(f"{f.name} must be finite, got {value!r}")
 
 
+def check_run(config: WorldConfig, seed: int) -> None:
+    """Raise ConfigError unless a training or evaluation run can start from
+    `seed` on `config`'s fleet."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    if config.num_muavs < 1 or config.num_cuavs < 1:
+        raise ConfigError("a run needs at least one MUAV and one CUAV "
+                          "(the report metrics are undefined otherwise)")
+
+
 @dataclass
 class WorldState:
     """Full simulator state, stored as arrays. UAV rows follow
@@ -233,8 +243,13 @@ def load_config(cls, path):
     """Read a `WorldConfig` or `TrainConfig` from a flat YAML mapping;
     unknown keys are fatal, missing keys keep their defaults."""
     import yaml  # only runs that read a config file pay for the import
-    with open(path, "r", encoding="utf-8") as fh:
-        data = yaml.safe_load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = yaml.safe_load(fh)
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
+    except (UnicodeDecodeError, yaml.YAMLError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     if data is None:
         data = {}
     if not isinstance(data, dict):

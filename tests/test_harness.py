@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import build_state
-from hgam import env, harness, rollout
+from hgam import env, harness, rollout, training
 from hgam.cli import main
 from hgam.env import step
 from hgam.errors import ConfigError
@@ -253,6 +253,7 @@ def test_cli_exit_codes(tmp_path):
     bad_cfg = tmp_path / "bad.yaml"
     bad_cfg.write_text("unknown_key: 1\n")
     assert main(["evaluate", "--config", str(bad_cfg), "--policy", "greedy"]) == 2
+    assert main(["compare", "--config", str(bad_cfg)]) == 2
     assert main(["evaluate", "--policy", "hgam",
                  "--checkpoint", str(tmp_path / "missing.hgam")]) == 3
     garbled = tmp_path / "garbled.hgam"
@@ -356,17 +357,87 @@ def test_cli_rejects_ill_typed_config_values(tmp_path, capsys, command, line):
 
 @pytest.mark.parametrize("command, seed", [("evaluate", "-1"),
                                            ("export-traj", "-1"),
-                                           ("train", "-2")])
+                                           ("train", "-2"),
+                                           ("compare", "-1")])
 def test_cli_rejects_negative_seed(tmp_path, capsys, command, seed):
     world, _ = write_mini_configs(tmp_path)
     out = tmp_path / "run"
-    argv = [command, "--config", str(world), "--episodes", "1", "--seed", seed,
-            "--out", str(out)]
-    if command != "train":
+    argv = [command, "--config", str(world), "--episodes", "1", "--seed", seed]
+    if command != "compare":   # compare writes no files and has no --out
+        argv += ["--out", str(out)]
+    if command in ("evaluate", "export-traj"):
         argv += ["--policy", "greedy"]
     assert main(argv) == 2
-    assert f"error: seed must be >= 0, got {seed}" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert f"error: seed must be >= 0, got {seed}" in captured.err
+    assert captured.out == ""   # not even compare's table header
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--config", "--train-config"])
+@pytest.mark.parametrize("case", ["missing", "directory", "malformed",
+                                  "undecodable"])
+def test_cli_rejects_unreadable_config(tmp_path, capsys, flag, case):
+    world, _ = write_mini_configs(tmp_path)
+    bad = tmp_path / case
+    if case == "directory":
+        bad.mkdir()
+    elif case == "malformed":
+        bad.write_text("area_width: [1,\n")
+    elif case == "undecodable":
+        bad.write_bytes(b"\xff\xfe area_width: 8.0\n")
+    out = tmp_path / "run"
+    if flag == "--config":
+        argv = ["evaluate", "--config", str(bad), "--episodes", "1",
+                "--out", str(out)]
+    else:
+        argv = ["train", "--config", str(world), "--train-config", str(bad),
+                "--episodes", "1", "--out", str(out)]
+    assert main(argv) == 2
+    assert f"error: {bad}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "export-traj"])
+def test_cli_rejects_out_that_is_a_file(monkeypatch, tmp_path, capsys, command):
+    # no episode may run: either one would call generate_scenario
+    monkeypatch.setattr(harness, "generate_scenario", None)
+    monkeypatch.setattr(training, "generate_scenario", None)
+    world, _ = write_mini_configs(tmp_path)
+    taken = tmp_path / "README.md"
+    taken.write_text("kept\n")
+    assert main([command, "--config", str(world), "--episodes", "1",
+                 "--out", str(taken)]) == 2
+    assert f"error: output directory {taken}: " in capsys.readouterr().err
+    assert taken.read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "README.md", "train.yaml", "world.yaml"]
+
+
+@pytest.mark.parametrize("with_checkpoint", [False, True],
+                         ids=["baselines", "checkpoint"])
+def test_cli_compare_table(tmp_path, capsys, with_checkpoint):
+    world, trainc = write_mini_configs(tmp_path)
+    kinds = ["random", "greedy"]
+    argv = ["compare", "--config", str(world), "--episodes", "2", "--seed", "3"]
+    ckpt = None
+    if with_checkpoint:
+        assert main(["train", "--config", str(world), "--train-config",
+                     str(trainc), "--seed", "1", "--out", str(tmp_path / "run")]) == 0
+        ckpt = tmp_path / "run" / "checkpoint.hgam"
+        kinds += ["hgam", "hgam_no_gat"]
+        argv += ["--checkpoint", str(ckpt)]
+    capsys.readouterr()
+    assert main(argv) == 0
+    header, rule, *rows = capsys.readouterr().out.splitlines()
+    metrics = ("C", "omega", "upsilon", "D", "F")
+    assert header.split() == ["policy", *metrics]
+    assert rule == "-" * len(header)
+    assert [row[:12].rstrip() for row in rows] == kinds
+    config = load_config(WorldConfig, world)
+    for kind, row in zip(kinds, rows):
+        agg = evaluate(make_policy(kind, config, ckpt), config, 2, 3)["aggregate"]
+        assert row[12:] == "".join("%10.3f" % agg[m]["mean"] for m in metrics)
 
 
 def test_cli_export_traj_and_inspect(tmp_path, capsys):
@@ -406,6 +477,10 @@ def test_no_gat_flag_only_on_train(command):
 
 
 def test_evaluate_requires_both_kinds():
+    # training and evaluation share one precondition check and its message
     solo = WorldConfig(num_muavs=1, num_cuavs=0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="at least one MUAV and one CUAV") as ev:
         evaluate(GreedyPolicy(), solo, 1, seed=0)
+    with pytest.raises(ConfigError) as tr:
+        Trainer(solo, TrainConfig(), seed=0)
+    assert str(tr.value) == str(ev.value)
