@@ -39,7 +39,12 @@ The runs (about 10 s in total, single-threaded BLAS):
   store holds apart, and multi-step chains that stop at the ring's
   cursor. No other run fills its store;
 - `compare` on the mini world with the mini-world checkpoint, 3
-  episodes, its table on stdout kept as `stdout.txt`.
+  episodes, its table on stdout kept as `stdout.txt`;
+- `train --no-gat` on the mini world, seed 3, with a train config
+  written next to the run directories (`e_min: 1`, 4 episodes, batch 16,
+  capacity 256). Episodes 2 to 4 run updates, so the learner's no-GAT
+  backward pass and the zero gradients of the unused attention
+  parameters are digested; no other run trains without attention.
 
 hgam is imported from this checkout's `src/`.
 
@@ -66,6 +71,7 @@ MINI = str(ROOT / "configs" / "mini_world.yaml")
 FLEET_WORLD = "num_muavs: 3\nnum_cuavs: 2\ncomm_radius: 6.0\n"
 FLEET_TRAIN = "e_min: 1\nmax_episodes: 3\nbatch_size: 32\nbuffer_capacity: 4096\n"
 WRAP_TRAIN = "e_min: 1\nmax_episodes: 8\nbatch_size: 16\nbuffer_capacity: 40\n"
+NO_GAT_TRAIN = "e_min: 1\nmax_episodes: 4\nbatch_size: 16\nbuffer_capacity: 256\n"
 
 
 def runs(out: Path):
@@ -80,6 +86,8 @@ def runs(out: Path):
     ckpt_fleet = str(out / "train_fleet_learn" / "checkpoint.hgam")
     wrap_train = out / "wrap_train.yaml"
     wrap_train.write_text(WRAP_TRAIN, encoding="utf-8")
+    no_gat_train = out / "no_gat_train.yaml"
+    no_gat_train.write_text(NO_GAT_TRAIN, encoding="utf-8")
     return [
         ("train_mini", ["train", "--config", MINI, "--seed", "3",
                         "--episodes", "54"]),
@@ -114,6 +122,8 @@ def runs(out: Path):
                              str(wrap_train), "--seed", "3"]),
         ("compare_mini", ["compare", "--config", MINI, "--checkpoint", ckpt,
                           "--episodes", "3"]),
+        ("train_mini_no_gat", ["train", "--config", MINI, "--train-config",
+                               str(no_gat_train), "--seed", "3", "--no-gat"]),
     ]
 
 

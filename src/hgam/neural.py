@@ -9,6 +9,7 @@ exactly softmax over the present subset.
 
 from __future__ import annotations
 
+import mmap
 import os
 import struct
 from dataclasses import dataclass
@@ -369,52 +370,38 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray]) -> None:
 
 def load_checkpoint(path, names=None) -> dict[str, np.ndarray]:
     """Read the tensors whose full names are in `names`, or every tensor
-    when it is None. The file is streamed: a kept tensor is read straight
-    into its array, any other is seeked past, and every record is checked
-    against the file size before anything is allocated or skipped."""
+    when it is None. The file is mapped read-only; a kept tensor is copied
+    out once its record is known to end inside the file, any other skipped
+    by offset. Mapping risks SIGBUS only if the file is truncated in place,
+    and hgam never does that: it replaces checkpoints with `os.replace`."""
     try:
-        fh = open(path, "rb")
+        with open(path, "rb") as fh:
+            magic = fh.read(4)
+            if magic != CHECKPOINT_MAGIC:
+                raise CheckpointError(f"{path}: bad magic {magic!r}")
+            buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    with fh:
-        size = os.fstat(fh.fileno()).st_size
-
-        def take(n: int) -> bytes:
-            raw = fh.read(n)
-            if len(raw) != n:
-                raise CheckpointError(f"{path}: truncated or corrupt "
-                                      f"(needed {n} bytes, found {len(raw)})")
-            return raw
-
-        magic = fh.read(4)
-        if magic != CHECKPOINT_MAGIC:
-            raise CheckpointError(f"{path}: bad magic {magic!r}")
-        (version,) = struct.unpack("<I", take(4))
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointError(f"{path}: unsupported format version {version}")
-        tensors: dict[str, np.ndarray] = {}
-        off = 8
-        while off < size:
-            (name_len,) = struct.unpack("<I", take(4))
-            if off + 12 + name_len > size:
-                raise CheckpointError(f"{path}: truncated or corrupt (name of "
-                                      f"{name_len} bytes at offset {off})")
-            try:
-                name = take(name_len).decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise CheckpointError(f"{path}: truncated or corrupt ({exc})") from exc
-            rows, cols = struct.unpack("<II", take(8))
-            nbytes = 8 * rows * cols
-            off += 12 + name_len + nbytes
-            if off > size:
-                raise CheckpointError(f"{path}: truncated tensor {name}")
-            if names is not None and name not in names:
-                fh.seek(nbytes, os.SEEK_CUR)
-                continue
-            data = np.empty((rows, cols), dtype="<f8")
-            if fh.readinto(data) != nbytes:
-                raise CheckpointError(f"{path}: truncated tensor {name}")
-            tensors[name] = data
+    tensors: dict[str, np.ndarray] = {}
+    with buf:
+        try:
+            (version,) = struct.unpack_from("<I", buf, 4)
+            if version != CHECKPOINT_VERSION:
+                raise CheckpointError(f"{path}: unsupported format version {version}")
+            off = 8
+            while off < len(buf):
+                (name_len,) = struct.unpack_from("<I", buf, off)
+                start = off + 12 + name_len   # the data, after the 8 bytes of rows, cols
+                rows, cols = struct.unpack_from("<II", buf, start - 8)
+                name = buf[off + 4:start - 8].decode("utf-8")
+                off = start + 8 * rows * cols
+                if off > len(buf):
+                    raise CheckpointError(f"{path}: truncated tensor {name}")
+                if names is None or name in names:   # a copy: no view outlives buf
+                    tensors[name] = np.frombuffer(buf, "<f8", rows * cols,
+                                                  start).reshape(rows, cols).copy()
+        except (struct.error, UnicodeDecodeError) as exc:
+            raise CheckpointError(f"{path}: truncated or corrupt ({exc})") from exc
     return tensors
 
 

@@ -14,8 +14,8 @@ from .hetgraph import (global_action_slice, global_feature_batch,
                        global_feature_width, local_feature_batch,
                        local_feature_width)
 from .neural import (LINEAR, TANH, NetSpec, Network, adam_step, backward,
-                     forward, network_from_tensors, network_tensors,
-                     save_checkpoint)
+                     forward, load_checkpoint, network_from_tensors,
+                     network_tensors, save_checkpoint)
 from .rollout import joint_observation, run_episode
 from .world import WorldConfig, check_field_types, check_run, generate_scenario
 
@@ -64,8 +64,8 @@ class TrainConfig:
 
 class SumTree:
     """Binary tree over leaf priorities; every internal node is recomputed as
-    the sum (and max) of its children on update, so the partial sums stay
-    exactly consistent under any update sequence."""
+    the sum of its children on update, so the partial sums stay exactly
+    consistent under any update sequence."""
 
     def __init__(self, capacity: int):
         if capacity < 1:
@@ -76,7 +76,6 @@ class SumTree:
         self.capacity = cap
         self.levels = cap.bit_length() - 1
         self.sums = np.zeros(2 * cap)
-        self.maxes = np.zeros(2 * cap)
 
     @property
     def total(self) -> float:
@@ -84,7 +83,7 @@ class SumTree:
 
     @property
     def max_leaf(self) -> float:
-        return float(self.maxes[1])
+        return float(self.sums[self.capacity:].max())
 
     def leaves(self, idxs) -> np.ndarray:
         return self.sums[np.asarray(idxs, dtype=int) + self.capacity]
@@ -103,13 +102,11 @@ class SumTree:
         if np.any(nodes < cap) or np.any(nodes >= 2 * cap):
             raise ContractError("sum-tree index out of range")
         self.sums[nodes] = values
-        self.maxes[nodes] = values
         # parents of a sorted, unique level are sorted: dedupe by neighbours
         level = np.unique(nodes >> 1)
         while level.size and level[0] > 0:
             left = level << 1
             self.sums[level] = self.sums[left] + self.sums[left + 1]
-            self.maxes[level] = np.maximum(self.maxes[left], self.maxes[left + 1])
             level = level >> 1
             keep = np.empty(level.size, dtype=bool)
             keep[0] = True
@@ -118,16 +115,13 @@ class SumTree:
 
     def _set_one(self, node: int, value: float) -> None:
         """One leaf's root path with scalar reads and writes (an insert per
-        environment step), doing the vector walk's arithmetic: the max picks
-        the right child on ties and propagates NaN, as np.maximum does."""
-        sums, maxes = memoryview(self.sums), memoryview(self.maxes)
-        sums[node] = maxes[node] = value
+        environment step), doing the vector walk's arithmetic."""
+        sums = memoryview(self.sums)
+        sums[node] = value
         node >>= 1
         while node:
             left = node << 1
             sums[node] = sums[left] + sums[left + 1]
-            a, b = maxes[left], maxes[left + 1]
-            maxes[node] = a if a > b or a != a else b
             node >>= 1
 
     def set(self, idx: int, value: float) -> None:
@@ -542,7 +536,6 @@ def load_actor_networks(path, world_config: WorldConfig,
     """Actor networks for every agent from a checkpoint, shape-validated
     against the world configuration. Only the actors' parameter tensors are
     read."""
-    from .neural import load_checkpoint
     n = world_config.num_uavs
     spec = actor_spec(world_config, use_gat)
     tensors = load_checkpoint(path, {f"actor_{i}/{k}" for i in range(n)

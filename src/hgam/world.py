@@ -95,7 +95,8 @@ class WorldConfig:
             raise ConfigError("max_steps must be >= 1")
         if not 0.0 <= self.w_f <= 1.0:
             raise ConfigError("w_f must lie in [0, 1]")
-        for name in ("num_muavs", "num_cuavs", "num_pois", "num_obstacles", "num_lasers"):
+        for name in ("num_muavs", "num_cuavs", "num_pois", "num_obstacles", "num_lasers",
+                     "collect_rate", "charge_per_step", "beta", "kappa"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
         if self.num_lasers < 1:
@@ -127,12 +128,12 @@ def check_field_types(config) -> None:
 
 def check_run(config: WorldConfig, seed: int) -> None:
     """Raise ConfigError unless a training or evaluation run can start from
-    `seed` on `config`'s fleet."""
+    `seed` on `config`'s fleet and PoIs."""
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    if config.num_muavs < 1 or config.num_cuavs < 1:
-        raise ConfigError("a run needs at least one MUAV and one CUAV "
-                          "(the report metrics are undefined otherwise)")
+    if min(config.num_muavs, config.num_cuavs, config.num_pois) < 1:
+        raise ConfigError("a run needs at least one MUAV and one CUAV, and a "
+                          "PoI (the report metrics are undefined otherwise)")
 
 
 @dataclass

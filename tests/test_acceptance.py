@@ -262,15 +262,17 @@ def test_criterion_4_per():
 
     # one million random leaf updates, then exact internal consistency
     tree = SumTree(128)
+    leaves = np.zeros(128)
     rng = np.random.default_rng(5)
     for _ in range(10_000):
         idx = rng.integers(0, 128, size=100)
         vals = rng.uniform(0.0, 10.0, size=100)
         tree.set_many(idx, vals)
+        leaves[idx] = vals
+        assert tree.max_leaf == leaves.max()
+    assert tree.leaves(np.arange(128)).tobytes() == leaves.tobytes()
     for node in range(1, tree.capacity):
         assert tree.sums[node] == tree.sums[2 * node] + tree.sums[2 * node + 1]
-        assert tree.maxes[node] == max(tree.maxes[2 * node],
-                                       tree.maxes[2 * node + 1])
 
 
 # --- 5. n-step oracle ----------------------------------------------------------------

@@ -259,6 +259,9 @@ def test_cli_exit_codes(tmp_path):
     garbled = tmp_path / "garbled.hgam"
     garbled.write_bytes(b"NOTHGAM")
     assert main(["inspect-checkpoint", "--checkpoint", str(garbled)]) == 3
+    empty = tmp_path / "empty.hgam"
+    empty.write_bytes(b"")
+    assert main(["inspect-checkpoint", "--checkpoint", str(empty)]) == 3
 
 
 @pytest.mark.parametrize("key, code", [("actor_0/head_b2", 3),
@@ -371,6 +374,25 @@ def test_cli_rejects_negative_seed(tmp_path, capsys, command, seed):
     captured = capsys.readouterr()
     assert f"error: seed must be >= 0, got {seed}" in captured.err
     assert captured.out == ""   # not even compare's table header
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "export-traj", "compare"])
+def test_cli_rejects_world_without_pois(tmp_path, capsys, command):
+    # the metrics are undefined without data to collect: refused before
+    # any episode runs or any output is written
+    world, _ = write_mini_configs(tmp_path)
+    world.write_text(world.read_text().replace("num_pois: 10", "num_pois: 0"))
+    out = tmp_path / "run"
+    argv = [command, "--config", str(world), "--episodes", "1"]
+    if command != "compare":
+        argv += ["--out", str(out)]
+    if command in ("evaluate", "export-traj"):
+        argv += ["--policy", "greedy"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "error: a run needs at least one MUAV and one CUAV, and a PoI" in captured.err
+    assert captured.out == ""
     assert not out.exists()
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import zlib
 from dataclasses import replace
 
@@ -424,6 +425,46 @@ def test_checkpoint_oversized_header_fails_before_allocating(tmp_path, names):
                      + bytes(16))
     with pytest.raises(CheckpointError, match="truncated tensor a/head_w2"):
         load_checkpoint(path, names)
+
+
+@pytest.mark.parametrize("names", [None, {"a/gat_w"}], ids=["all", "skipped"])
+def test_checkpoint_name_past_end_fails_before_allocating(tmp_path, names):
+    # a 4 GiB name length in a 25-byte file: nothing of that size is read
+    path = tmp_path / "long_name.hgam"
+    path.write_bytes(b"HGAM" + (1).to_bytes(4, "little")
+                     + (2 ** 32 - 1).to_bytes(4, "little") + b"a/gat_w" + bytes(6))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError, match="truncated or corrupt"):
+            load_checkpoint(path, names)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_checkpoint_name_not_utf8(tmp_path):
+    path = tmp_path / "bad_name.hgam"
+    name = b"a/\xff\xfe"
+    path.write_bytes(b"HGAM" + (1).to_bytes(4, "little")
+                     + len(name).to_bytes(4, "little") + name
+                     + (1).to_bytes(4, "little") + (1).to_bytes(4, "little")
+                     + bytes(8))
+    with pytest.raises(CheckpointError, match="truncated or corrupt"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("names", [None, {"a/gat_w", "a/head_b2"}], ids=["all", "some"])
+def test_checkpoint_arrays_own_their_data(tmp_path, names):
+    # each tensor is a copy, not a view into the file's closed mapping
+    net = Network(SMALL_ACTOR, np.random.default_rng(3))
+    path = tmp_path / "net.hgam"
+    save_checkpoint(path, network_tensors("a", net))
+    tensors = load_checkpoint(path, names)
+    assert tensors and (names is None or set(tensors) == names)
+    for key, arr in tensors.items():
+        assert arr.flags.owndata and arr.flags.writeable, key
+        arr += 1.0   # and stays usable after the load returns
 
 
 def test_checkpoint_selected_networks_bit_identical(tmp_path):

@@ -75,12 +75,16 @@ def test_sumtree_total_and_leaves():
 def test_sumtree_internal_sums_exact_after_random_ops():
     rng = np.random.default_rng(0)
     t = SumTree(64)
+    leaves = np.zeros(64)
     for _ in range(3000):
         idx = rng.integers(0, 64, size=rng.integers(1, 8))
-        t.set_many(idx, rng.uniform(0.0, 10.0, size=len(idx)))
+        vals = rng.uniform(0.0, 10.0, size=len(idx))
+        t.set_many(idx, vals)
+        leaves[idx] = vals
+        assert t.max_leaf == leaves.max()
+    assert t.leaves(np.arange(64)).tobytes() == leaves.tobytes()
     for node in range(1, t.capacity):
         assert t.sums[node] == t.sums[2 * node] + t.sums[2 * node + 1]
-        assert t.maxes[node] == max(t.maxes[2 * node], t.maxes[2 * node + 1])
 
 
 def test_sumtree_sample_distribution_alpha_one():
@@ -131,9 +135,11 @@ def test_per_update_out_of_range():
 def test_sumtree_one_index_writes_match_many_index_writes(capacity):
     # the same writes, one leaf per call (scalar root path) and several
     # per call (vector levels), leave byte-identical trees, duplicates,
-    # zeros and NaN priorities included
+    # zeros and NaN priorities included; the max leaf follows every write
+    # (NaN once any leaf is NaN)
     rng = np.random.default_rng(capacity)
     one, many = SumTree(capacity), SumTree(capacity)
+    leaves = np.zeros(one.capacity)
     specials = np.array([0.0, -0.0, np.nan, 1.0, 1.0])
     for _ in range(400):
         k = int(rng.integers(2, 7))
@@ -144,8 +150,10 @@ def test_sumtree_one_index_writes_match_many_index_writes(capacity):
         many.set_many(idx, vals)
         for i, v in zip(idx, vals):
             one.set(int(i), float(v))
+            leaves[i] = v
+            np.testing.assert_equal(one.max_leaf, leaves.max())
+        np.testing.assert_equal(many.max_leaf, leaves.max())
         assert one.sums.tobytes() == many.sums.tobytes()
-        assert one.maxes.tobytes() == many.maxes.tobytes()
 
 
 def test_sample_empty_tree_raises():

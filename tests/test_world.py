@@ -83,6 +83,12 @@ def test_config_validation():
         WorldConfig(w_f=1.5)
     with pytest.raises(ConfigError):
         WorldConfig(max_steps=0)
+    # a negative rate or cost would let a run end in a metric error, or
+    # let a MUAV gain energy by moving; zero is allowed
+    for name in ("collect_rate", "charge_per_step", "beta", "kappa"):
+        with pytest.raises(ConfigError, match=f"{name} must be >= 0"):
+            WorldConfig(**{name: -0.5})
+        assert getattr(WorldConfig(**{name: 0.0}), name) == 0.0
 
 
 def test_config_types_follow_annotations():
