@@ -9,6 +9,7 @@ exactly softmax over the present subset.
 
 from __future__ import annotations
 
+import math
 import mmap
 import os
 import struct
@@ -68,49 +69,41 @@ class Network:
     """Parameters plus Adam moment state for one actor or critic.
 
     The parameters live in one flat float64 buffer with named views, and the
-    moments in two more of the same layout, so the optimizer and soft
-    updates are single vector operations. The views are never rebound;
-    mutate through them only. The moments stay zero until `adam_step` runs.
+    moments and the gradient in three more of the same layout, so backward,
+    the optimizer and soft updates write single vectors. The views are never
+    rebound; mutate through them only. The moments stay zero until `adam_step`.
     """
 
     def __init__(self, spec: NetSpec, rng: np.random.Generator | None = None):
         self.spec = spec
-        shapes = spec.param_shapes()
-        self._offsets: dict[str, tuple[int, int]] = {}
-        total = 0
-        for name, shape in shapes.items():
-            size = int(np.prod(shape))
-            self._offsets[name] = (total, total + size)
-            total += size
+        self.shapes = spec.param_shapes()
+        total = sum(math.prod(shape) for shape in self.shapes.values())
         self.flat = np.zeros(total)
         self.flat_m = np.zeros(total)
         self.flat_v = np.zeros(total)
-        self.params: dict[str, np.ndarray] = {}
-        for name, shape in shapes.items():
-            lo, hi = self._offsets[name]
-            self.params[name] = self.flat[lo:hi].reshape(shape)
-            if rng is not None:
+        self.grad = np.zeros(total)
+        self.params = self.views(self.flat)
+        self.grads = self.views(self.grad)
+        if rng is not None:
+            for name, shape in self.shapes.items():
                 bound = 1.0 / np.sqrt(_fan_in(name, shape))
                 self.params[name][...] = rng.uniform(-bound, bound, size=shape)
         self.adam_t = 0
+
+    def views(self, buf: np.ndarray) -> dict[str, np.ndarray]:
+        """Named parameter-shaped views of a buffer with the flat layout."""
+        out, lo = {}, 0
+        for name, shape in self.shapes.items():
+            hi = lo + math.prod(shape)
+            out[name] = buf[lo:hi].reshape(shape)
+            lo = hi
+        return out
 
     def clone(self) -> "Network":
         """A copy of the parameters with fresh optimizer state, as a target
         network starts."""
         out = Network(self.spec, rng=None)
         out.flat[...] = self.flat
-        return out
-
-    def flatten(self, grads: dict[str, np.ndarray]) -> np.ndarray:
-        if not hasattr(self, "_gscratch"):
-            self._gscratch = np.zeros_like(self.flat)
-        out = self._gscratch
-        for name, (lo, hi) in self._offsets.items():
-            g = grads.get(name)
-            if g is None:
-                out[lo:hi] = 0.0
-            else:
-                out[lo:hi] = g.reshape(-1)
         return out
 
 
@@ -239,22 +232,25 @@ def backward(net: Network, tape: Tape, dout: np.ndarray,
              input_grads: bool = True):
     """Exact gradients of sum(dout * out) w.r.t. parameters and inputs.
 
-    Returns (grads dict matching net.params, dfeats of shape (B, n, F)), or
-    (grads, None) with `input_grads` false.
+    Returns (a new view of `net.grad`, dfeats of shape (B, n, F)), or
+    (grad, None) with `input_grads` false. Parameters the pass does not reach
+    get zero; the next `backward` on `net` overwrites the gradient, but each
+    call's view is a new object, so perfbench's tracer can tell results apart.
     """
     spec = net.spec
     p = net.params
+    grads = net.grads
+    net.grad[...] = 0.0
     b, n, in_w = tape.feats.shape
     e_dim = spec.embed_dim
-    grads: dict[str, np.ndarray] = {}
 
     dz4 = dout * (1.0 - tape.out ** 2) if spec.out_activation == TANH else np.asarray(dout)
-    grads["head_w2"] = dz4.T @ tape.a3
-    grads["head_b2"] = dz4.sum(axis=0)
+    grads["head_w2"] += dz4.T @ tape.a3
+    grads["head_b2"] += dz4.sum(axis=0)
     da3 = dz4 @ p["head_w2"]
     dz3 = da3 * tape.s3
-    grads["head_w1"] = dz3.T @ tape.x_head
-    grads["head_b1"] = dz3.sum(axis=0)
+    grads["head_w1"] += dz3.T @ tape.x_head
+    grads["head_b1"] += dz3.sum(axis=0)
     dx_head = dz3 @ p["head_w1"]
 
     dg = dx_head[:, e_dim:]
@@ -270,50 +266,43 @@ def backward(net: Network, tape: Tape, dout: np.ndarray,
         d_el = tape.alpha * (dalpha - inner)
         de = d_el * tape.se
 
-        da_vec = np.empty(2 * e_dim)
-        da_vec[:e_dim] = np.einsum("bk,bke->e", de, wh_nbr)
-        da_vec[e_dim:] = (de.sum(axis=1)[:, None] * tape.wh[:, tape.ego, :]).sum(axis=0)
-        grads["gat_a"] = da_vec
+        grads["gat_a"][:e_dim] += np.einsum("bk,bke->e", de, wh_nbr)
+        grads["gat_a"][e_dim:] += (de.sum(axis=1)[:, None] * tape.wh[:, tape.ego, :]).sum(axis=0)
         dwh_nbr += de[:, :, None] * a_src[None, None, :]
 
         # neighbor slots and the ego cover every node exactly once
         dwh = np.empty((b, n, e_dim))
         dwh[:, tape.nbr_idx, :] = dwh_nbr
         dwh[:, tape.ego, :] = de.sum(axis=1)[:, None] * a_dst[None, :]
-        grads["gat_w"] = dwh.reshape(-1, e_dim).T @ tape.h.reshape(-1, e_dim)
+        grads["gat_w"] += dwh.reshape(-1, e_dim).T @ tape.h.reshape(-1, e_dim)
         dh = (dwh.reshape(-1, e_dim) @ p["gat_w"]).reshape(b, n, e_dim)
         dh[:, tape.ego, :] += dx_head[:, :e_dim]
     else:
         dh = np.zeros((b, n, e_dim))
         dh[:, tape.ego, :] = dx_head[:, :e_dim]
 
-    def _accum(key, value):
-        if key in grads:
-            grads[key] += value
-        else:
-            grads[key] = value
-
     # no zeroing needed: the kind runs cover every node
     dfeats = np.empty_like(tape.feats) if input_grads else None
     for r, (kind, lo, hi) in enumerate(_kind_runs(tape.kinds)):
         shape = (b, hi - lo, e_dim)
         dz2 = (dh[:, lo:hi, :] * tape.s2[r].reshape(shape)).reshape(-1, e_dim)
-        _accum(f"enc_{kind}_w2", dz2.T @ tape.a1[r])
-        _accum(f"enc_{kind}_b2", dz2.sum(axis=0))
+        grads[f"enc_{kind}_w2"] += dz2.T @ tape.a1[r]
+        grads[f"enc_{kind}_b2"] += dz2.sum(axis=0)
         dz1 = dz2 @ p[f"enc_{kind}_w2"]
         dz1 *= tape.s1[r]
-        _accum(f"enc_{kind}_w1", dz1.T @ tape.x[r])
-        _accum(f"enc_{kind}_b1", dz1.sum(axis=0))
+        grads[f"enc_{kind}_w1"] += dz1.T @ tape.x[r]
+        grads[f"enc_{kind}_b1"] += dz1.sum(axis=0)
         if input_grads:
             dfeats[:, lo:hi, :] = (dz1 @ p[f"enc_{kind}_w1"]).reshape(b, hi - lo, in_w)
-    return grads, dfeats
+    return net.grad[:], dfeats
 
 
-def adam_step(net: Network, grads: dict[str, np.ndarray], lr: float) -> None:
-    """Bias-corrected adaptive moment update, in place over the flat buffer."""
+def adam_step(net: Network, grads: np.ndarray, lr: float) -> None:
+    """Bias-corrected adaptive moment update, in place over the flat buffer;
+    `grads` (flat, as `backward` returns it) is consumed as scratch."""
     net.adam_t += 1
     t = net.adam_t
-    g = net.flatten(grads)
+    g = grads
     m, v = net.flat_m, net.flat_v
     m *= ADAM_BETA1
     g *= (1.0 - ADAM_BETA1)
@@ -412,10 +401,8 @@ def network_tensors(name: str, net: Network) -> dict[str, np.ndarray]:
     networks saved before their first update carry parameters only."""
     out = {f"{name}/{k}": v for k, v in net.params.items()}
     if net.adam_t > 0:
-        for k, (lo, hi) in net._offsets.items():
-            shape = net.params[k].shape
-            out[f"{name}/{k}#m"] = net.flat_m[lo:hi].reshape(shape)
-            out[f"{name}/{k}#v"] = net.flat_v[lo:hi].reshape(shape)
+        for suffix, buf in (("#m", net.flat_m), ("#v", net.flat_v)):
+            out.update((f"{name}/{k}{suffix}", v) for k, v in net.views(buf).items())
         out[f"{name}/adam_t"] = np.array([[float(net.adam_t)]])
     return out
 

@@ -81,9 +81,9 @@ class SumTree:
     def total(self) -> float:
         return float(self.sums[1])
 
-    @property
-    def max_leaf(self) -> float:
-        return float(self.sums[self.capacity:].max())
+    def max_leaf(self, n: int) -> float:
+        """The largest of the first `n` leaf priorities (0.0 when n is 0)."""
+        return float(self.sums[self.capacity:self.capacity + n].max(initial=0.0))
 
     def leaves(self, idxs) -> np.ndarray:
         return self.sums[np.asarray(idxs, dtype=int) + self.capacity]
@@ -378,7 +378,8 @@ class Trainer:
     # -- learning ----------------------------------------------------------
 
     def insert_priority(self, tree: SumTree) -> float:
-        m = tree.max_leaf
+        # leaves past the store's size were never written: they hold 0.0
+        m = tree.max_leaf(self.store.size)
         return m if m > 0.0 else 1.0
 
     def update(self, episode: int, step_index: int):

@@ -96,7 +96,10 @@ class WorldConfig:
         if not 0.0 <= self.w_f <= 1.0:
             raise ConfigError("w_f must lie in [0, 1]")
         for name in ("num_muavs", "num_cuavs", "num_pois", "num_obstacles", "num_lasers",
-                     "collect_rate", "charge_per_step", "beta", "kappa"):
+                     "collect_rate", "charge_per_step", "beta", "kappa",
+                     "laser_warn_dist", "w_c", "w_l", "w_e", "w_d",
+                     "discovery_bonus", "rotation_penalty", "plow",
+                     "collision_penalty", "laser_penalty"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
         if self.num_lasers < 1:

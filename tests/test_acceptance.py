@@ -77,19 +77,19 @@ def test_criterion_1_gradients():
     skipped = 0
     measured = 0
 
-    def check_group(net, prefixes, loss, grads, coords=3):
+    def check_group(net, prefixes, loss, coords=3):
         nonlocal worst, draws, skipped, measured
         names = [n for n in net.params if n.startswith(prefixes)]
         for name in names:
             arr = net.params[name]
-            g = grads.get(name)
+            g = net.grads[name]
             for _ in range(coords):
                 i = int(rng.integers(arr.size))
                 fd = kink_free_fd(loss, arr, i)
                 if fd is None:
                     skipped += 1
                     continue
-                an = 0.0 if g is None else float(g.flat[i])
+                an = float(g.flat[i])
                 worst = float(np.maximum(worst, _rel_err(an, fd)))  # keeps NaN
                 measured += 1
         draws += 1
@@ -107,8 +107,8 @@ def test_criterion_1_gradients():
                 return float(np.sum(tape.out * w)), branch_signature(tape)
 
             tape = forward(net, feats, kinds, 0)
-            grads, _ = backward(net, tape, w)
-            check_group(net, prefixes, loss, grads)
+            backward(net, tape, w)
+            check_group(net, prefixes, loss)
 
     # full weighted squared-error path through the critic
     for _ in range(25):
@@ -125,8 +125,8 @@ def test_criterion_1_gradients():
 
         tape = forward(net, feats, kinds, 0)
         q = tape.out[:, 0]
-        grads, _ = backward(net, tape, ((-2.0 / b) * zeta * (y - q))[:, None])
-        check_group(net, ("enc_", "gat_", "head_"), loss, grads, coords=2)
+        backward(net, tape, ((-2.0 / b) * zeta * (y - q))[:, None])
+        check_group(net, ("enc_", "gat_", "head_"), loss, coords=2)
 
     elapsed = time.time() - t0
     print(f"  {draws} draws, {measured} coordinates ({skipped} kink-adjacent "
@@ -269,7 +269,7 @@ def test_criterion_4_per():
         vals = rng.uniform(0.0, 10.0, size=100)
         tree.set_many(idx, vals)
         leaves[idx] = vals
-        assert tree.max_leaf == leaves.max()
+        assert tree.max_leaf(tree.capacity) == leaves.max()
     assert tree.leaves(np.arange(128)).tobytes() == leaves.tobytes()
     for node in range(1, tree.capacity):
         assert tree.sums[node] == tree.sums[2 * node] + tree.sums[2 * node + 1]

@@ -187,8 +187,8 @@ def test_no_gat_flag_zeroes_aggregate():
     g = make_graph(SMALL_CRITIC, (MUAV, MUAV, CUAV), rng=rng)
     tape = forward_graph(net, g)
     assert np.all(tape.g == 0.0)
-    grads, _ = backward(net, tape, np.ones((1, 1)))
-    assert "gat_w" not in grads
+    backward(net, tape, np.ones((1, 1)))
+    assert not net.grads["gat_w"].any()
 
 
 # --- backward ---------------------------------------------------------------------
@@ -210,17 +210,17 @@ def test_backward_single_linear_unit():
     tape = forward_graph(net, g)
     q = tape.out[0, 0]
     assert q == pytest.approx(2.0)
-    grads, _ = backward(net, tape, np.array([[2.0 * q]]))  # dL/dout for L=out^2
-    assert grads["enc_muav_w1"][0, 0] == pytest.approx(4.0)
+    backward(net, tape, np.array([[2.0 * q]]))  # dL/dout for L=out^2
+    assert net.grads["enc_muav_w1"][0, 0] == pytest.approx(4.0)
 
 
 def test_backward_tanh_unit_slope_at_zero():
     net = Network(SMALL_ACTOR, rng=None)  # all zeros -> out = tanh(0) = 0
     g = make_graph(SMALL_ACTOR, (MUAV, CUAV))
     tape = forward_graph(net, g)
-    grads, _ = backward(net, tape, np.array([[1.0, 0.0]]))
+    backward(net, tape, np.array([[1.0, 0.0]]))
     # d tanh(z)/dz at 0 is 1, so the head bias gradient passes through intact
-    assert grads["head_b2"] == pytest.approx([1.0, 0.0])
+    assert net.grads["head_b2"] == pytest.approx([1.0, 0.0])
 
 
 @pytest.mark.parametrize("kinds,ego,out_spec,mask", [
@@ -261,13 +261,14 @@ def test_backward_matches_finite_differences(kinds, ego, out_spec, mask):
             return float(np.sum(tape.out * w)), branch_signature(tape)
 
         tape = forward(net, feats, kinds, ego, mask)
-        grads, dfeats = backward(net, tape, w)
+        grad, dfeats = backward(net, tape, w)
+        grads = net.views(grad.copy())   # the wild pass below overwrites net.grad
         assert np.all(np.isfinite(tape.out))
         for name, arr in net.params.items():
-            g = grads.get(name)
+            g = grads[name]
             for _ in range(3):
                 i = int(rng.integers(arr.size))
-                check(0.0 if g is None else float(g.flat[i]), arr, i)
+                check(float(g.flat[i]), arr, i)
         for _ in range(5):
             i = int(rng.integers(feats.size))
             check(float(dfeats.flat[i]), feats, i)
@@ -280,7 +281,8 @@ def test_backward_matches_finite_differences(kinds, ego, out_spec, mask):
         wild = feats.copy()
         wild[:, 1:][absent] = rng.normal(0, 1e6, (int(absent.sum()), feats.shape[2]))
         wild_tape = forward(net, wild, kinds, ego, mask)
-        wild_grads, wild_dfeats = backward(net, wild_tape, w)
+        wild_grad, wild_dfeats = backward(net, wild_tape, w)
+        wild_grads = net.views(wild_grad)
         assert wild_tape.out.tobytes() == tape.out.tobytes()
         assert np.all(wild_dfeats[:, 1:][absent] == 0.0)
         assert all(np.array_equal(wild_grads[k], g) for k, g in grads.items())
@@ -304,12 +306,43 @@ def test_backward_without_input_grads_keeps_parameter_grads(kinds, ego, spec,
     mask = rng.uniform(size=(b, len(kinds) - 1)) < 0.7 if masked else None
     tape = forward(net, feats, kinds, ego, mask)
     w = rng.normal(0, 1, (b, spec.out_dim))
-    grads, dfeats = backward(net, tape, w)
-    only, none = backward(net, tape, w, input_grads=False)
+    grad, dfeats = backward(net, tape, w)
+    grads = net.views(grad.copy())       # the second pass overwrites net.grad
+    only_grad, none = backward(net, tape, w, input_grads=False)
+    only = net.views(only_grad)
     assert dfeats.shape == feats.shape and none is None
     assert only.keys() == grads.keys()
     for name, g in grads.items():
         assert only[name].tobytes() == g.tobytes(), name
+
+
+@pytest.mark.parametrize("spec,kinds,unreached", [
+    (replace(SMALL_ACTOR, use_gat=False), (MUAV, MUAV, CUAV), ("gat_w", "gat_a")),
+    (SMALL_ACTOR, (MUAV, MUAV), ("enc_cuav_w1", "enc_cuav_b1",
+                                 "enc_cuav_w2", "enc_cuav_b2")),
+], ids=["no-gat", "kind-missing"])
+def test_backward_zeroes_unreached_parameter_grads(spec, kinds, unreached):
+    rng = np.random.default_rng(11)
+    net = Network(spec, rng)
+    fresh = Network(spec, rng=None)
+    fresh.flat[...] = net.flat
+    feats = rng.normal(0, 1, (3, len(kinds), spec.in_widths[kinds[0]]))
+    w = rng.normal(0, 1, (3, spec.out_dim))
+    net.grad[...] = np.nan                # whatever a previous pass left
+    grad, _ = backward(net, forward(net, feats, kinds, 0), w)
+    for name in unreached:
+        assert np.all(net.grads[name] == 0.0), name
+    want, _ = backward(fresh, forward(fresh, feats, kinds, 0), w)
+    assert grad.tobytes() == want.tobytes()
+
+
+def test_backward_returns_a_new_view_of_the_gradient_each_call():
+    net = Network(SMALL_ACTOR, np.random.default_rng(12))
+    tape = forward(net, np.ones((2, 3, 9)), (MUAV, MUAV, CUAV), 0)
+    first, _ = backward(net, tape, np.ones((2, 2)))
+    second, _ = backward(net, tape, np.ones((2, 2)))
+    assert first is not second
+    assert first.base is net.grad and second.base is net.grad
 
 
 # --- adam -------------------------------------------------------------------------
@@ -317,14 +350,14 @@ def test_backward_without_input_grads_keeps_parameter_grads(kinds, ego, spec,
 def test_adam_zero_gradient_keeps_params():
     net = Network(SMALL_ACTOR, np.random.default_rng(0))
     before = net.flat.copy()
-    adam_step(net, {k: np.zeros_like(v) for k, v in net.params.items()}, 0.01)
+    adam_step(net, np.zeros_like(net.flat), 0.01)
     assert np.array_equal(net.flat, before)
 
 
 def test_adam_first_step_magnitude():
     net = Network(SMALL_ACTOR, np.random.default_rng(0))
     before = net.flat.copy()
-    adam_step(net, {k: np.ones_like(v) for k, v in net.params.items()}, 0.001)
+    adam_step(net, np.ones_like(net.flat), 0.001)
     delta = net.flat - before
     assert delta == pytest.approx(np.full_like(delta, -0.001), rel=1e-6)
 
@@ -332,8 +365,7 @@ def test_adam_first_step_magnitude():
 def test_adam_equal_gradients_update_equally():
     net = Network(SMALL_ACTOR, np.random.default_rng(0))
     before = net.params["gat_w"].copy()
-    grads = {k: np.full_like(v, 0.7) for k, v in net.params.items()}
-    adam_step(net, grads, 0.01)
+    adam_step(net, np.full_like(net.flat, 0.7), 0.01)
     delta = net.params["gat_w"] - before
     assert np.allclose(delta, delta.flat[0])
 
@@ -365,8 +397,7 @@ def test_checkpoint_moments_only_after_adam_step():
     net = Network(SMALL_ACTOR, np.random.default_rng(3))
     params = {f"a/{k}" for k in SMALL_ACTOR.param_shapes()}
     assert set(network_tensors("a", net)) == params
-    grads = {k: np.ones_like(v) for k, v in net.params.items()}
-    adam_step(net, grads, 0.01)
+    adam_step(net, np.ones_like(net.flat), 0.01)
     moments = {f"{k}#{s}" for k in params for s in "mv"}
     assert set(network_tensors("a", net)) == params | moments | {"a/adam_t"}
     # a clone is a target: parameters only, however far its source has run

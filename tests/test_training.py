@@ -69,7 +69,9 @@ def test_sumtree_total_and_leaves():
     t.set_many([0, 3, 5], [1.0, 2.0, 3.0])
     assert t.total == 6.0
     assert t.leaves([0, 3, 5]) == pytest.approx([1.0, 2.0, 3.0])
-    assert t.max_leaf == 3.0
+    assert t.max_leaf(t.capacity) == 3.0
+    # only the first n leaves count
+    assert t.max_leaf(4) == 2.0 and t.max_leaf(0) == 0.0
 
 
 def test_sumtree_internal_sums_exact_after_random_ops():
@@ -81,7 +83,7 @@ def test_sumtree_internal_sums_exact_after_random_ops():
         vals = rng.uniform(0.0, 10.0, size=len(idx))
         t.set_many(idx, vals)
         leaves[idx] = vals
-        assert t.max_leaf == leaves.max()
+        assert t.max_leaf(t.capacity) == leaves.max()
     assert t.leaves(np.arange(64)).tobytes() == leaves.tobytes()
     for node in range(1, t.capacity):
         assert t.sums[node] == t.sums[2 * node] + t.sums[2 * node + 1]
@@ -151,8 +153,8 @@ def test_sumtree_one_index_writes_match_many_index_writes(capacity):
         for i, v in zip(idx, vals):
             one.set(int(i), float(v))
             leaves[i] = v
-            np.testing.assert_equal(one.max_leaf, leaves.max())
-        np.testing.assert_equal(many.max_leaf, leaves.max())
+            np.testing.assert_equal(one.max_leaf(one.capacity), leaves.max())
+        np.testing.assert_equal(many.max_leaf(many.capacity), leaves.max())
         assert one.sums.tobytes() == many.sums.tobytes()
 
 
@@ -178,8 +180,8 @@ def test_sumtree_matches_flat_array_oracle():
             t.set(j, val)
             flat[j] = val
         assert t.total == pytest.approx(flat.sum(), rel=1e-12)
-        assert t.max_leaf == flat.max()
-        max_seen = t.max_leaf
+        assert t.max_leaf(t.capacity) == flat.max()
+        max_seen = t.max_leaf(t.capacity)
 
 
 # --- noise and soft updates -------------------------------------------------------
@@ -457,10 +459,10 @@ def test_critic_update_gradient_matches_fd():
     tape = forward(net, feats, kinds, 0)
     q = tape.out[:, 0]
     dq = (-2.0 / 4) * zeta * (y - q)
-    grads, _ = backward(net, tape, dq[:, None])
+    backward(net, tape, dq[:, None])
     worst = 0.0
     for name, arr in net.params.items():
-        g = grads.get(name)
+        g = net.grads[name]
         for _ in range(3):
             i = int(rng.integers(arr.size))
             old = arr.flat[i]
@@ -470,7 +472,7 @@ def test_critic_update_gradient_matches_fd():
             dn = loss_fn()
             arr.flat[i] = old
             fd_val = (up - dn) / 2e-5
-            an = 0.0 if g is None else float(g.flat[i])
+            an = float(g.flat[i])
             d = abs(an - fd_val)
             if not d < 1e-8:                    # NaN is kept, not skipped
                 worst = float(np.maximum(worst, d / max(abs(an), abs(fd_val))))

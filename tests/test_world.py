@@ -84,8 +84,13 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         WorldConfig(max_steps=0)
     # a negative rate or cost would let a run end in a metric error, or
-    # let a MUAV gain energy by moving; zero is allowed
-    for name in ("collect_rate", "charge_per_step", "beta", "kappa"):
+    # let a MUAV gain energy by moving; a negative reward weight or penalty
+    # would reward what it is meant to punish (with collision_penalty < 0 a
+    # crash is the best action); zero is allowed
+    for name in ("collect_rate", "charge_per_step", "beta", "kappa",
+                 "laser_warn_dist", "w_c", "w_l", "w_e", "w_d",
+                 "discovery_bonus", "rotation_penalty", "plow",
+                 "collision_penalty", "laser_penalty"):
         with pytest.raises(ConfigError, match=f"{name} must be >= 0"):
             WorldConfig(**{name: -0.5})
         assert getattr(WorldConfig(**{name: 0.0}), name) == 0.0
