@@ -8,6 +8,15 @@ after it:
     python scripts/fingerprint.py > after.txt     # on the new commit
     diff before.txt after.txt
 
+The digests come first under `#` lines naming the build they were made
+on: python, numpy, the BLAS build and the OpenBLAS core that runs (the
+core picks the kernels, and the digests hold only on one build). The
+committed record is this script's output:
+
+    python scripts/fingerprint.py > FINGERPRINT.txt
+
+and `tests/test_fingerprint.py` compares a fresh run with it.
+
 The runs (about 10 s in total, single-threaded BLAS):
 
 - `train` on the mini world, seed 3, 54 episodes (4 with learner updates);
@@ -57,14 +66,13 @@ reward-component digest stayed the same.
 """
 
 import argparse
+import ctypes
 import hashlib
 import os
+import platform
 import sys
 import tempfile
 from pathlib import Path
-
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 ROOT = Path(__file__).resolve().parent.parent
 MINI = str(ROOT / "configs" / "mini_world.yaml")
@@ -127,6 +135,32 @@ def runs(out: Path):
     ]
 
 
+def openblas_core(np) -> str:
+    """The kernel set numpy's bundled OpenBLAS picked for this CPU at load
+    time, which the build string (`np.show_config`) does not give."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib_path in sorted(libs.glob("libscipy_openblas*.so")):
+        lib = ctypes.CDLL(str(lib_path))
+        for symbol in ("scipy_openblas_get_corename64_",
+                       "scipy_openblas_get_corename"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.restype = ctypes.c_char_p
+                return fn().decode()
+    return "unknown"
+
+
+def environment() -> list[str]:
+    """The `#` header lines: the build the digests below them hold on."""
+    import numpy as np
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return [f"# python {platform.python_version()}",
+            f"# numpy {np.__version__}",
+            f"# blas {blas.get('name')} {blas.get('version')}",
+            f"# openblas_core {openblas_core(np)}"]
+
+
 def fingerprint(out: Path) -> list[str]:
     from contextlib import redirect_stdout
 
@@ -166,6 +200,9 @@ def main():
     ap.add_argument("--out", help="keep the outputs here (default: a "
                                   "temporary directory, removed afterwards)")
     args = ap.parse_args()
+    # set before hgam imports numpy; importing this module sets nothing
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    os.environ.setdefault("OMP_NUM_THREADS", "1")
     sys.path.insert(0, str(ROOT / "src"))
     if args.out:
         out = Path(args.out)
@@ -174,7 +211,7 @@ def main():
     else:
         with tempfile.TemporaryDirectory() as tmp:
             lines = fingerprint(Path(tmp))
-    print("\n".join(lines))
+    print("\n".join(environment() + lines))
 
 
 if __name__ == "__main__":

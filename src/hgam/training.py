@@ -55,8 +55,12 @@ class TrainConfig:
             raise ConfigError("f_soft must be >= 1")
         if self.e_min < 0 or self.max_episodes < 1:
             raise ConfigError("e_min must be >= 0 and max_episodes >= 1")
-        if self.per_alpha < 0:
-            raise ConfigError("per_alpha must be >= 0")
+        for name in ("per_alpha", "lr_critic", "lr_actor", "noise_sigma0",
+                     "noise_min"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0")
+        if not 0.0 <= self.noise_decay <= 1.0:
+            raise ConfigError("noise_decay must lie in [0, 1]")
 
 
 # ---------------------------------------------------------------------------
@@ -102,16 +106,13 @@ class SumTree:
         if np.any(nodes < cap) or np.any(nodes >= 2 * cap):
             raise ContractError("sum-tree index out of range")
         self.sums[nodes] = values
-        # parents of a sorted, unique level are sorted: dedupe by neighbours
-        level = np.unique(nodes >> 1)
+        # leaves share one depth and each level sums children the previous
+        # pass finished, so a shared ancestor gets the same sum every write
+        level = nodes >> 1
         while level.size and level[0] > 0:
             left = level << 1
             self.sums[level] = self.sums[left] + self.sums[left + 1]
-            level = level >> 1
-            keep = np.empty(level.size, dtype=bool)
-            keep[0] = True
-            np.not_equal(level[1:], level[:-1], out=keep[1:])
-            level = level[keep]
+            level >>= 1
 
     def _set_one(self, node: int, value: float) -> None:
         """One leaf's root path with scalar reads and writes (an insert per
@@ -233,28 +234,14 @@ class ReplayStore:
         i+1 is the cursor (the oldest or an empty slot). Returns (per-step
         inclusion mask (n, B), per-step slot indices (n, B), steps summed
         (B,), bootstrap slot (B,), terminal flag (B,))."""
-        b = len(idxs)
-        oks = np.zeros((n, b), dtype=bool)
-        js = np.zeros((n, b), dtype=np.int64)
-        valid = np.ones(b, dtype=bool)
-        count = np.zeros(b, dtype=np.int64)
-        boot = np.asarray(idxs, dtype=np.int64).copy()
-        terminal = np.zeros(b, dtype=bool)
-        for k in range(n):
-            j = (idxs + k) % self.capacity
-            ok = valid & (j != self.cursor) if k else valid
-            oks[k] = ok
-            js[k] = j
-            count = np.where(ok, k + 1, count)
-            boot = np.where(ok, j, boot)
-            terminal = np.where(ok, self.done[j], terminal)
-            valid = ok & ~self.done[j]
-        return oks, js, count, boot, terminal
-
-
-def exploration_noise(rng: np.random.Generator, sigma: float) -> np.ndarray:
-    """Independent zero-mean Gaussian noise per action component."""
-    return rng.normal(0.0, sigma, size=2)
+        js = ((np.asarray(idxs, dtype=np.int64) + np.arange(n)[:, None])
+              % self.capacity)
+        oks = np.ones(js.shape, dtype=bool)
+        np.logical_and.accumulate(~self.done[js[:-1]] & (js[1:] != self.cursor),
+                                  axis=0, out=oks[1:])
+        count = oks.sum(axis=0)
+        boot = js[count - 1, np.arange(js.shape[1])]
+        return oks, js, count, boot, self.done[boot]
 
 
 def soft_update(target: Network, source: Network, tau: float) -> None:
@@ -371,8 +358,7 @@ class Trainer:
         Gaussian noise, clipped to [-1, 1]."""
         actions = actor_actions(self.actors, self.wc, obs_rows[None],
                                 nbr_rows[None])[0]
-        for u in range(self.num_agents):
-            actions[u] += exploration_noise(self.noise_rng, self.sigma)
+        actions += self.noise_rng.normal(0.0, self.sigma, size=actions.shape)
         return np.clip(actions, -1.0, 1.0)
 
     # -- learning ----------------------------------------------------------

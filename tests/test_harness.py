@@ -341,6 +341,10 @@ def test_cli_evaluate_reads_both_checkpoint_layouts(tmp_path, episodes):
     ("train", "lr_critic: .nan"),
     ("train", "per_alpha: .nan"),
     ("train", "noise_sigma0: .nan"),
+    # out of range: numpy's normal fails in episode 1 on a negative scale,
+    # and a negative rate ascends the critic loss without complaint
+    ("train", "noise_sigma0: -0.3"),
+    ("train", "lr_critic: -0.001"),
 ])
 def test_cli_rejects_ill_typed_config_values(tmp_path, capsys, command, line):
     world, _ = write_mini_configs(tmp_path)

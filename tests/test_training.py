@@ -1,4 +1,4 @@
-import math
+import copy
 from collections import Counter
 from dataclasses import replace
 
@@ -12,11 +12,11 @@ from hgam.errors import ConfigError, ContractError
 from hgam.hetgraph import global_feature_width
 from hgam.neural import LINEAR, NetSpec, Network, forward, load_checkpoint
 from hgam.training import (PRIORITY_EPS, ReplayStore, SumTree, TrainConfig,
-                           Trainer, actor_spec, actor_update, critic_spec,
-                           critic_target_values, critic_update,
-                           exploration_noise, nstep_return,
-                           priorities, soft_update, train)
-from hgam.world import CUAV, MUAV, WorldConfig, load_config
+                           Trainer, actor_actions, actor_spec, actor_update,
+                           critic_spec, critic_target_values, critic_update,
+                           nstep_return, priorities, soft_update, train)
+from hgam.world import (CUAV, MUAV, WorldConfig, generate_scenario,
+                        load_config)
 
 
 # --- n-step returns -----------------------------------------------------------
@@ -133,7 +133,7 @@ def test_per_update_out_of_range():
     assert t.total == 0.0
 
 
-@pytest.mark.parametrize("capacity", [1, 2, 50])
+@pytest.mark.parametrize("capacity", [1, 2, 50, 100_000])
 def test_sumtree_one_index_writes_match_many_index_writes(capacity):
     # the same writes, one leaf per call (scalar root path) and several
     # per call (vector levels), leave byte-identical trees, duplicates,
@@ -143,9 +143,18 @@ def test_sumtree_one_index_writes_match_many_index_writes(capacity):
     one, many = SumTree(capacity), SumTree(capacity)
     leaves = np.zeros(one.capacity)
     specials = np.array([0.0, -0.0, np.nan, 1.0, 1.0])
-    for _ in range(400):
-        k = int(rng.integers(2, 7))
-        idx = rng.integers(0, capacity, size=k)
+
+    def batches():
+        for _ in range(400):
+            yield rng.integers(0, capacity, size=int(rng.integers(2, 7)))
+        # indices that all share one parent, with repeats
+        base = max(capacity - 2, 0) & ~1
+        for _ in range(20):
+            yield base + rng.integers(0, min(capacity, 2),
+                                      size=int(rng.integers(2, 7)))
+
+    for idx in batches():
+        k = len(idx)
         vals = rng.uniform(0.0, 5.0, size=k)
         pick = rng.uniform(size=k) < 0.2
         vals[pick] = rng.choice(specials, size=int(pick.sum()))
@@ -186,16 +195,20 @@ def test_sumtree_matches_flat_array_oracle():
 
 # --- noise and soft updates -------------------------------------------------------
 
-def test_noise_zero_sigma():
-    assert np.all(exploration_noise(np.random.default_rng(0), 0.0) == 0.0)
-
-
-def test_noise_statistics():
-    rng = np.random.default_rng(12)
-    sigma = 0.3
-    draws = np.array([exploration_noise(rng, sigma) for _ in range(500_000)])
-    assert abs(draws.mean()) < 4 * sigma / math.sqrt(draws.size)
-    assert draws.std() == pytest.approx(sigma, rel=0.01)
+@pytest.mark.parametrize("sigma", [0.3, 0.0])
+def test_policy_actions_add_one_gaussian_draw_to_the_actors(sigma):
+    # one (U, 2) draw from noise_rng, the stream U draws of size 2 gave
+    wc = WorldConfig()
+    assert wc.num_uavs == 3
+    trainer = Trainer(wc, TrainConfig(buffer_capacity=64), seed=8)
+    trainer.sigma = sigma
+    obs, nbrs = rollout.joint_observation(generate_scenario(wc, 1))
+    rng = copy.deepcopy(trainer.noise_rng)
+    want = np.clip(actor_actions(trainer.actors, wc, obs[None], nbrs[None])[0]
+                   + rng.normal(0.0, sigma, (3, 2)), -1.0, 1.0)
+    got = trainer.policy_actions(obs, nbrs)
+    assert got.tobytes() == want.tobytes()
+    assert trainer.noise_rng.bit_generator.state == rng.bit_generator.state
 
 
 def test_noise_decay_schedule():
@@ -361,15 +374,18 @@ def test_store_matches_two_copy_reference(lengths, last_done, capacity, n, rnd):
             ref.add(**row)
             obs, nbrs = next_obs, next_nbrs
         state += 1
-    idxs = np.arange(store.size)
-    got, want = store.chain(idxs, n), ref.chain(idxs, n)
-    for a, b in zip(got, want):
-        np.testing.assert_array_equal(a, b)
-    boot, terminal = got[3], got[4]
-    next_obs, next_nbrs = store.successor(boot)
-    live = ~terminal
-    np.testing.assert_array_equal(next_obs[live], ref.next_obs[boot[live]])
-    np.testing.assert_array_equal(next_nbrs[live], ref.next_nbrs[boot[live]])
+    # every slot once, then a draw with repeats as the sampler makes
+    drawn = rnd.choices(range(store.size), k=rnd.randint(1, 19))
+    for idxs in (np.arange(store.size), np.array(drawn, dtype=np.int64)):
+        got, want = store.chain(idxs, n), ref.chain(idxs, n)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+            assert a.dtype == b.dtype
+        boot, terminal = got[3], got[4]
+        next_obs, next_nbrs = store.successor(boot)
+        live = ~terminal
+        np.testing.assert_array_equal(next_obs[live], ref.next_obs[boot[live]])
+        np.testing.assert_array_equal(next_nbrs[live], ref.next_nbrs[boot[live]])
 
 
 def test_buffer_fifo_capacity():
@@ -542,6 +558,15 @@ def test_train_config_validation():
         TrainConfig(tau=0.0)
     with pytest.raises(ConfigError):
         TrainConfig(n_step=0)
+    for field, value in (("noise_sigma0", -0.3), ("noise_min", -0.01),
+                         ("lr_critic", -0.001), ("lr_actor", -1.0e-4),
+                         ("noise_decay", -0.1), ("noise_decay", 1.5)):
+        with pytest.raises(ConfigError, match=field):
+            TrainConfig(**{field: value})
+    # zero noise, a frozen learner and either end of the decay range work
+    TrainConfig(noise_sigma0=0.0, noise_min=0.0, lr_critic=0.0, lr_actor=0.0,
+                noise_decay=0.0)
+    TrainConfig(noise_decay=1.0)
 
 
 def test_train_config_replace_checks_again():
