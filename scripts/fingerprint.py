@@ -53,7 +53,13 @@ The runs (about 10 s in total, single-threaded BLAS):
   written next to the run directories (`e_min: 1`, 4 episodes, batch 16,
   capacity 256). Episodes 2 to 4 run updates, so the learner's no-GAT
   backward pass and the zero gradients of the unused attention
-  parameters are digested; no other run trains without attention.
+  parameters are digested; no other run trains without attention;
+- `train` on a large fleet world (8 MUAVs, 4 CUAVs, `comm_radius: 6.0`),
+  seed 3, with a train config written next to it (`e_min: 1`, 2
+  episodes, batch 16, capacity 1024), then `evaluate` with `hgam` on its
+  checkpoint and with `greedy`, 3 episodes each. With twelve UAVs the
+  greedy pass, the per-step reward table and the observations run at a
+  fleet size none of the runs above reaches.
 
 hgam is imported from this checkout's `src/`.
 
@@ -80,6 +86,8 @@ FLEET_WORLD = "num_muavs: 3\nnum_cuavs: 2\ncomm_radius: 6.0\n"
 FLEET_TRAIN = "e_min: 1\nmax_episodes: 3\nbatch_size: 32\nbuffer_capacity: 4096\n"
 WRAP_TRAIN = "e_min: 1\nmax_episodes: 8\nbatch_size: 16\nbuffer_capacity: 40\n"
 NO_GAT_TRAIN = "e_min: 1\nmax_episodes: 4\nbatch_size: 16\nbuffer_capacity: 256\n"
+LARGE_WORLD = "num_muavs: 8\nnum_cuavs: 4\ncomm_radius: 6.0\n"
+LARGE_TRAIN = "e_min: 1\nmax_episodes: 2\nbatch_size: 16\nbuffer_capacity: 1024\n"
 
 
 def runs(out: Path):
@@ -96,6 +104,11 @@ def runs(out: Path):
     wrap_train.write_text(WRAP_TRAIN, encoding="utf-8")
     no_gat_train = out / "no_gat_train.yaml"
     no_gat_train.write_text(NO_GAT_TRAIN, encoding="utf-8")
+    large = out / "large_world.yaml"
+    large.write_text(LARGE_WORLD, encoding="utf-8")
+    large_train = out / "large_train.yaml"
+    large_train.write_text(LARGE_TRAIN, encoding="utf-8")
+    ckpt_large = str(out / "train_large" / "checkpoint.hgam")
     return [
         ("train_mini", ["train", "--config", MINI, "--seed", "3",
                         "--episodes", "54"]),
@@ -132,6 +145,12 @@ def runs(out: Path):
                           "--episodes", "3"]),
         ("train_mini_no_gat", ["train", "--config", MINI, "--train-config",
                                str(no_gat_train), "--seed", "3", "--no-gat"]),
+        ("train_large", ["train", "--config", str(large), "--train-config",
+                         str(large_train), "--seed", "3"]),
+        ("eval_large_hgam", ["evaluate", "--config", str(large), "--policy", "hgam",
+                             "--checkpoint", ckpt_large, "--episodes", "3"]),
+        ("eval_large_greedy", ["evaluate", "--config", str(large),
+                               "--policy", "greedy", "--episodes", "3"]),
     ]
 
 

@@ -118,18 +118,6 @@ def poi_distances(state: WorldState) -> np.ndarray:
     return np.linalg.norm(state.poi_xy[None, :, :] - pos[:, None, :], axis=2)
 
 
-def _collect_from_poi(state: WorldState, p: int, rate: float) -> float:
-    """Take up to rate from PoI p; the returned amount is the exact float
-    decrement applied to poi_rem[p]."""
-    m_old = float(state.poi_rem[p])
-    if m_old <= rate:
-        state.poi_rem[p] = 0.0
-        return m_old
-    m_new = m_old - rate
-    state.poi_rem[p] = m_new
-    return m_old - m_new
-
-
 def step(state: WorldState, actions) -> tuple[WorldState, StepEvents]:
     """Advance the world one timestep in place; returns (state, events)."""
     if state.done:
@@ -173,6 +161,7 @@ def step(state: WorldState, actions) -> tuple[WorldState, StepEvents]:
 
     # 3. MUAV data collection, sequential in MUAV index order
     m_count = state.num_muavs
+    rate = cfg.collect_rate
     collected = np.zeros(m_count)
     breakdown: list[tuple[int, int, float]] = []
     discovered: list[np.ndarray] = []
@@ -182,9 +171,12 @@ def step(state: WorldState, actions) -> tuple[WorldState, StepEvents]:
         new = in_range & live & ~state.seen_pois[m]
         discovered.append(np.nonzero(new)[0])
         state.seen_pois[m] |= in_range
-        for p in np.nonzero(in_range & live)[0]:
-            take = _collect_from_poi(state, int(p), cfg.collect_rate)
-            breakdown.append((m, int(p), take))
+        for p in np.nonzero(in_range & live)[0].tolist():
+            m_old = float(state.poi_rem[p])
+            m_new = m_old - rate if m_old > rate else 0.0
+            state.poi_rem[p] = m_new
+            take = m_old - m_new   # exactly m_old when the PoI empties
+            breakdown.append((m, p, take))
             collected[m] += take
 
     # 4. CUAV charging: closest in-range MUAV, one target per CUAV, in CUAV

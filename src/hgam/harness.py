@@ -8,42 +8,39 @@ import json
 
 import numpy as np
 
-from .env import make_out_dir, write_csv, write_poi_csv
+from .env import make_out_dir, poi_distances, write_csv, write_poi_csv
 from .errors import ConfigError
 from .rollout import run_episode
 from .training import actor_actions, load_actor_networks
-from .world import WorldConfig, WorldState, check_run, generate_scenario
+from .world import WorldConfig, WorldState, check_run, generate_scenario, norms
 
 POLICY_KINDS = ("greedy", "random", "hgam", "hgam_no_gat")
 
 
-def greedy_policy(state: WorldState, u: int) -> np.ndarray:
-    """Nearest-target heuristic: MUAVs head for the closest PoI with data
-    left and dwell once inside sensing range; CUAVs shadow the lowest-battery
-    MUAV. No obstacle avoidance on purpose."""
-    pos = state.pos[u]
-    if u < state.num_muavs:
-        live = state.poi_rem > 0.0
-        if not np.any(live):
-            return np.zeros(2)
-        dists = np.linalg.norm(state.poi_xy - pos, axis=1)
-        masked = np.where(live, dists, np.inf)
-        p = int(np.argmin(masked))
-        if masked[p] <= state.config.sense_radius:
-            return np.zeros(2)
-        direction = state.poi_xy[p] - pos
-    else:
-        if state.num_muavs == 0:
-            return np.zeros(2)
-        target = int(np.argmin(state.er[: state.num_muavs]))
-        offset = state.pos[target] - pos
-        if float(np.linalg.norm(offset)) <= state.config.charge_radius:
-            return np.zeros(2)
-        direction = offset
-    norm = float(np.linalg.norm(direction))
-    if norm == 0.0:
-        return np.zeros(2)
-    return direction / norm
+def greedy_policy(state: WorldState) -> np.ndarray:
+    """The fleet's (U, 2) nearest-target actions: MUAVs head for the closest
+    PoI with data left and dwell once inside sensing range; CUAVs shadow the
+    lowest-battery MUAV (ties to the lower index). A UAV with nothing to
+    chase stays put. No obstacle avoidance on purpose."""
+    cfg = state.config
+    m = state.num_muavs
+    goal = state.pos.copy()
+    near = np.zeros(cfg.num_uavs)   # distance to the goal; inf: nothing to chase
+    if m and len(state.poi_xy):
+        masked = np.where(state.poi_rem > 0.0, poi_distances(state), np.inf)
+        p = np.argmin(masked, axis=1)
+        goal[:m] = state.poi_xy[p]
+        near[:m] = masked[np.arange(m), p]
+    if m:
+        goal[m:] = state.pos[np.argmin(state.er[:m])]
+    direction = goal - state.pos
+    norm = norms(direction)
+    near[m:] = norm[m:]
+    radius = np.repeat([cfg.sense_radius, cfg.charge_radius], [m, state.num_cuavs])
+    move = (near > radius) & np.isfinite(near)   # radii > 0: no zero direction moves
+    actions = np.zeros_like(direction)
+    np.divide(direction, norm[:, None], out=actions, where=move[:, None])
+    return actions
 
 
 class GreedyPolicy:
@@ -53,8 +50,8 @@ class GreedyPolicy:
     def reset(self, episode_seed: int) -> None:
         pass
 
-    def actions(self, state: WorldState, obs, nbrs) -> list[np.ndarray]:
-        return [greedy_policy(state, u) for u in range(state.config.num_uavs)]
+    def actions(self, state: WorldState, obs, nbrs) -> np.ndarray:
+        return greedy_policy(state)
 
 
 class RandomPolicy:

@@ -4,7 +4,7 @@ flags an MUAV stuck revisiting the same patch."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,8 +16,7 @@ from .world import WorldConfig, WorldState, lens_area, norms
 DILEMMA_WINDOW = 10
 
 
-@dataclass
-class RewardBreakdown:
+class RewardBreakdown(NamedTuple):
     h: float      # task payoff (collection for MUAVs, fair charging for CUAVs)
     iota: float   # movement/discovery bonus for MUAVs; neglect penalty for CUAVs
     pl: float     # behavioural penalty (idle rotation / charging hierarchy)

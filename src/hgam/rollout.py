@@ -61,12 +61,12 @@ def run_episode(state: WorldState, act, on_step=None, reads_obs: bool = True) ->
         actions = act(state, obs, nbrs)
         t = state.t
         _, events = step(state, actions)
-        rewards = np.array([bd.total for bd in tracker.after_step(state, events)])
+        rewards = tracker.after_step(state, events)[:, -1]
         joint = None if on_step is None else on_step(
             state, t, obs, nbrs, actions, rewards, events)
     row = dict(compute_all(tracker.episode_log(state)))
     m = state.num_muavs
-    reward_sums = tracker.component_totals[:, 4]
+    reward_sums = tracker.component_totals[:, -1]
     row["reward_muav_mean"] = float(np.mean(reward_sums[:m]))
     row["reward_cuav_mean"] = float(np.mean(reward_sums[m:]))
     row["reward_components"] = tracker.reward_components()
@@ -84,12 +84,12 @@ class EpisodeTracker:
                         for pos in state.pos[:m]]
         self.active_steps = np.zeros(state.num_cuavs, dtype=np.int64)
         n = state.config.num_uavs
-        self.component_totals = np.zeros((n, 5))  # h, iota, pl, pb, total
+        self.component_totals = np.zeros((n, len(RewardBreakdown._fields)))
 
-    def after_step(self, state: WorldState, events: StepEvents) -> list[RewardBreakdown]:
-        """Per-agent reward breakdowns for the transition just executed."""
+    def after_step(self, state: WorldState, events: StepEvents) -> np.ndarray:
+        """The step's (U, 5) reward table, one column per `RewardBreakdown` field."""
         cfg = self.config
-        breakdowns: list[RewardBreakdown] = []
+        breakdowns = []
         for m in range(state.num_muavs):
             self.windows[m].append(state.pos[m].copy())
             dilemma = detect_dilemma(self.windows[m], cfg.sense_radius)
@@ -99,9 +99,9 @@ class EpisodeTracker:
             if events.charge[ci].delivered > 0.0:
                 self.active_steps[ci] += 1
             breakdowns.append(cuav_reward(state, events, c, cfg))
-        for u, bd in enumerate(breakdowns):
-            self.component_totals[u] += (bd.h, bd.iota, bd.pl, bd.pb, bd.total)
-        return breakdowns
+        table = np.array(breakdowns)
+        self.component_totals += table
+        return table
 
     def episode_log(self, state: WorldState) -> EpisodeLog:
         m = state.num_muavs
@@ -118,5 +118,5 @@ class EpisodeTracker:
         )
 
     def reward_components(self) -> list[dict]:
-        keys = ("h", "iota", "pl", "pb", "total")
-        return [dict(zip(keys, map(float, row))) for row in self.component_totals]
+        return [dict(zip(RewardBreakdown._fields, map(float, row)))
+                for row in self.component_totals]

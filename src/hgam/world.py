@@ -89,6 +89,15 @@ class WorldConfig:
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
+        for name in ("area_width", "area_height"):
+            side, r = getattr(self, name), self.uav_radius
+            if 2.0 * r > side:   # no start position fits the UAV
+                # name the field moved off its default; a radius, if both were
+                if r != WorldConfig.uav_radius:
+                    raise ConfigError(f"uav_radius must be <= {name} / 2 = "
+                                      f"{side / 2.0}, got {r}")
+                raise ConfigError(f"{name} must be >= 2 * uav_radius = {2.0 * r}, "
+                                  f"got {side}")
         if self.view_range < self.sense_radius:
             raise ConfigError("view_range must be >= sense_radius")
         if self.max_steps < 1:

@@ -311,7 +311,7 @@ def test_criterion_6_conservation():
         state = generate_scenario(cfg, seed)
         takes_by_poi = [[] for _ in range(cfg.num_pois)]
         while not state.done:
-            actions = [greedy_policy(state, u) for u in range(3)]
+            actions = greedy_policy(state)
             _, ev = step(state, actions)
             for _, p, amount in ev.collection_breakdown:
                 takes_by_poi[p].append(amount)

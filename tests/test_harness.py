@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,26 +21,109 @@ from hgam.world import WorldConfig, generate_scenario, load_config
 def test_greedy_muav_heads_to_nearest_poi():
     cfg = WorldConfig(num_muavs=1, num_cuavs=0, num_obstacles=0, num_pois=1)
     s = build_state(cfg, [(4.0, 4.0)], poi_pos=[(7.0, 8.0)], poi_m0=[1.0])
-    a = greedy_policy(s, 0)
+    a = greedy_policy(s)[0]
     assert a == pytest.approx([0.6, 0.8])
 
 
 def test_greedy_muav_dwells_in_sense_range():
     cfg = WorldConfig(num_muavs=1, num_cuavs=0, num_obstacles=0, num_pois=1)
     s = build_state(cfg, [(4.0, 4.0)], poi_pos=[(4.5, 4.0)], poi_m0=[1.0])
-    assert greedy_policy(s, 0) == pytest.approx([0.0, 0.0])
+    assert greedy_policy(s)[0] == pytest.approx([0.0, 0.0])
     s.poi_rem[0] = 0.0   # depleted: nothing left to chase
-    assert greedy_policy(s, 0) == pytest.approx([0.0, 0.0])
+    assert greedy_policy(s)[0] == pytest.approx([0.0, 0.0])
 
 
 def test_greedy_cuav_tracks_lowest_battery():
     cfg = WorldConfig(num_obstacles=0, num_pois=0)
     s = build_state(cfg, [(2.0, 8.0), (14.0, 8.0), (8.0, 8.0)])
     s.ed[1] = 30.0   # the far MUAV is needier
-    a = greedy_policy(s, 2)
+    a = greedy_policy(s)[2]
     assert a == pytest.approx([1.0, 0.0])
     s.pos[2] = np.array([13.0, 8.0])  # within charge radius: dwell
-    assert greedy_policy(s, 2) == pytest.approx([0.0, 0.0])
+    assert greedy_policy(s)[2] == pytest.approx([0.0, 0.0])
+
+
+def greedy_reference(state, u):
+    """UAV u's greedy action by the per-agent rule that `greedy_policy`
+    computes for the whole fleet at once."""
+    pos = state.pos[u]
+    if u < state.num_muavs:
+        live = state.poi_rem > 0.0
+        if not np.any(live):
+            return np.zeros(2)
+        dists = np.linalg.norm(state.poi_xy - pos, axis=1)
+        masked = np.where(live, dists, np.inf)
+        p = int(np.argmin(masked))
+        if masked[p] <= state.config.sense_radius:
+            return np.zeros(2)
+        direction = state.poi_xy[p] - pos
+    else:
+        if state.num_muavs == 0:
+            return np.zeros(2)
+        target = int(np.argmin(state.er[: state.num_muavs]))
+        direction = state.pos[target] - pos
+        if float(np.linalg.norm(direction)) <= state.config.charge_radius:
+            return np.zeros(2)
+    norm = float(np.linalg.norm(direction))
+    if norm == 0.0:
+        return np.zeros(2)
+    return direction / norm
+
+
+def assert_greedy_is_reference(state):
+    got = greedy_policy(state)
+    want = np.array([greedy_reference(state, u)
+                     for u in range(state.config.num_uavs)]).reshape(-1, 2)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()   # bit for bit, signs of zero too
+    return got
+
+
+@pytest.mark.parametrize("muavs, cuavs, pois", [(1, 1, 20), (2, 1, 100),
+                                                (8, 4, 100), (2, 1, 2)])
+def test_greedy_policy_is_the_per_agent_rule(muavs, cuavs, pois):
+    # random walks, mixed with greedy moves, through worlds of U = 2, 3 and
+    # 12; some states put a UAV on another UAV or on a PoI, or empty PoIs
+    # (the 2-PoI world runs dry)
+    cfg = WorldConfig(num_muavs=muavs, num_cuavs=cuavs, num_pois=pois,
+                      max_steps=60)
+    n = cfg.num_uavs
+    rng = np.random.default_rng(100 * muavs + pois)
+    checked = dry = 0
+    for seed in range(6):
+        state = generate_scenario(cfg, seed)
+        while not state.done:
+            u = int(rng.integers(n))
+            draw = rng.random()
+            if draw < 0.15:
+                state.pos[u] = state.pos[int(rng.integers(n))]
+            elif draw < 0.3:
+                state.pos[u] = state.poi_xy[int(rng.integers(pois))]
+            elif draw < 0.35:
+                state.poi_rem[rng.random(pois) < rng.random()] = 0.0
+            greedy = assert_greedy_is_reference(state)
+            checked += 1
+            dry += not np.any(state.poi_rem > 0.0)
+            step(state, greedy if rng.random() < 0.5 else rng.uniform(-1, 1, (n, 2)))
+    assert checked > 30 and (pois > 2 or dry > 0)
+
+
+def test_greedy_policy_edge_states():
+    # every PoI empty: the argmin over all-inf distances picks PoI 0, which
+    # must not become a goal
+    cfg = WorldConfig(num_obstacles=0, num_pois=2)
+    s = build_state(cfg, [(4.0, 4.0), (5.0, 5.0), (4.0, 4.0)],
+                    poi_pos=[(8.0, 8.0), (9.0, 9.0)], poi_m0=[0.0, 0.0])
+    assert not assert_greedy_is_reference(s).any()   # the CUAV sits on MUAV 0
+    # no PoI: the MUAVs stay, the CUAV shadows MUAV 0
+    s = build_state(replace(cfg, num_pois=0), [(4.0, 4.0), (5.0, 5.0), (8.0, 4.0)])
+    assert assert_greedy_is_reference(s).tolist() == [[0.0, 0.0], [0.0, 0.0],
+                                                      [-1.0, 0.0]]
+    # no MUAV: the CUAVs have nobody to shadow
+    s = build_state(replace(cfg, num_muavs=0, num_cuavs=2),
+                    [(4.0, 4.0), (9.0, 9.0)], poi_pos=[(8.0, 8.0), (9.0, 9.0)],
+                    poi_m0=[1.0, 1.0])
+    assert not assert_greedy_is_reference(s).any()
 
 
 def random_actions(num_uavs, seed, calls=1):
@@ -345,6 +429,10 @@ def test_cli_evaluate_reads_both_checkpoint_layouts(tmp_path, episodes):
     # and a negative rate ascends the critic loss without complaint
     ("train", "noise_sigma0: -0.3"),
     ("train", "lr_critic: -0.001"),
+    # no start position fits a UAV wider than the arena: at the start draw
+    # numpy's uniform failed with `high - low < 0`
+    ("evaluate", "uav_radius: 9.0"),
+    ("evaluate", "area_width: 0.3"),
 ])
 def test_cli_rejects_ill_typed_config_values(tmp_path, capsys, command, line):
     world, _ = write_mini_configs(tmp_path)
@@ -378,6 +466,24 @@ def test_cli_rejects_negative_seed(tmp_path, capsys, command, seed):
     captured = capsys.readouterr()
     assert f"error: seed must be >= 0, got {seed}" in captured.err
     assert captured.out == ""   # not even compare's table header
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "compare"])
+@pytest.mark.parametrize("line", ["uav_radius: 9.0", "area_height: 0.3"])
+def test_cli_refuses_a_uav_wider_than_the_arena(tmp_path, capsys, command, line):
+    # refused before any work: `train` used to leave an untrained checkpoint
+    world = tmp_path / "world.yaml"
+    world.write_text(line + "\n")
+    out = tmp_path / "run"
+    argv = [command, "--config", str(world), "--episodes", "1"]
+    if command == "train":
+        argv += ["--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    field = line.partition(":")[0]
+    assert f"error: {world}: {field} must be" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
     assert not out.exists()
 
 

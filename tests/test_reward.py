@@ -228,9 +228,44 @@ def test_breakdown_identity_over_random_steps():
     rng = np.random.default_rng(4)
     while not state.done:
         _, ev = step(state, list(rng.uniform(-1, 1, (3, 2))))
-        bds = tracker.after_step(state, ev)
-        for m in range(2):
-            bd = bds[m]
-            assert bd.total == bd.h + bd.iota - bd.pl - bd.pb
-        for bd in bds[2:]:
-            assert bd.total == bd.h - bd.iota - bd.pl - bd.pb
+        table = tracker.after_step(state, ev)
+        for h, iota, pl, pb, total in table[:2]:
+            assert total == h + iota - pl - pb
+        for h, iota, pl, pb, total in table[2:]:
+            assert total == h - iota - pl - pb
+
+
+def test_reward_table_rows_are_the_breakdowns():
+    # a 12-UAV fleet steered greedily with noise, so MUAVs collect, circle
+    # and CUAVs charge; each row of the step's table is the agent's
+    # breakdown, and `component_totals` their running sum
+    from hgam.harness import greedy_policy
+    from hgam.reward import RewardBreakdown
+    from hgam.rollout import EpisodeTracker
+    from hgam.world import generate_scenario
+
+    cfg = WorldConfig(num_muavs=8, num_cuavs=4, num_obstacles=0, max_steps=80)
+    m, n = cfg.num_muavs, cfg.num_uavs
+    state = generate_scenario(cfg, seed=2)
+    tracker = EpisodeTracker(state)
+    windows = [deque([pos.copy()], maxlen=DILEMMA_WINDOW) for pos in state.pos[:m]]
+    totals = [[0.0] * len(RewardBreakdown._fields) for _ in range(n)]
+    rng = np.random.default_rng(6)
+    while not state.done:
+        _, ev = step(state, greedy_policy(state) + rng.normal(0.0, 0.5, (n, 2)))
+        table = tracker.after_step(state, ev)
+        assert table.shape == (n, len(RewardBreakdown._fields))
+        want = []
+        for u in range(m):
+            windows[u].append(state.pos[u].copy())
+            dilemma = detect_dilemma(windows[u], cfg.sense_radius)
+            want.append(muav_reward(ev, dilemma, u, cfg))
+        want += [cuav_reward(state, ev, c, cfg) for c in range(m, n)]
+        assert table.tolist() == [list(bd) for bd in want]
+        for row, bd in zip(totals, want):
+            for k, value in enumerate(bd):
+                row[k] += value
+        assert tracker.component_totals.tolist() == totals
+    assert state.t > 10
+    assert dict(zip(RewardBreakdown._fields, totals[0])) == \
+        tracker.reward_components()[0]

@@ -83,6 +83,17 @@ def test_config_validation():
         WorldConfig(w_f=1.5)
     with pytest.raises(ConfigError):
         WorldConfig(max_steps=0)
+    # a UAV must fit the arena for a start position to exist; equality
+    # leaves exactly one
+    for kwargs, message in (({"uav_radius": 9.0}, "uav_radius must be <= area_width"),
+                            ({"area_width": 0.3}, "area_width must be >= 2"),
+                            ({"area_height": 0.3}, "area_height must be >= 2"),
+                            ({"area_height": 8.0, "uav_radius": 4.5},
+                             "uav_radius must be <= area_height")):
+        with pytest.raises(ConfigError, match=message):
+            WorldConfig(**kwargs)
+    state = generate_scenario(WorldConfig(uav_radius=8.0), 0)
+    assert state.pos.tolist() == [[8.0, 8.0]] * 3
     # a negative rate or cost would let a run end in a metric error, or
     # let a MUAV gain energy by moving; a negative reward weight or penalty
     # would reward what it is meant to punish (with collision_penalty < 0 a
