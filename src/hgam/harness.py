@@ -10,24 +10,26 @@ import numpy as np
 
 from .env import make_out_dir, poi_distances, write_csv, write_poi_csv
 from .errors import ConfigError
-from .rollout import run_episode
+from .rollout import joint_observation, run_episode
 from .training import actor_actions, load_actor_networks
 from .world import WorldConfig, WorldState, check_run, generate_scenario, norms
 
 POLICY_KINDS = ("greedy", "random", "hgam", "hgam_no_gat")
 
 
-def greedy_policy(state: WorldState) -> np.ndarray:
+def greedy_policy(state: WorldState, events=None) -> np.ndarray:
     """The fleet's (U, 2) nearest-target actions: MUAVs head for the closest
     PoI with data left and dwell once inside sensing range; CUAVs shadow the
     lowest-battery MUAV (ties to the lower index). A UAV with nothing to
-    chase stays put. No obstacle avoidance on purpose."""
+    chase stays put. No obstacle avoidance on purpose. The PoI distances are
+    those of `events` (the step that produced `state`) when given."""
     cfg = state.config
     m = state.num_muavs
     goal = state.pos.copy()
     near = np.zeros(cfg.num_uavs)   # distance to the goal; inf: nothing to chase
     if m and len(state.poi_xy):
-        masked = np.where(state.poi_rem > 0.0, poi_distances(state), np.inf)
+        dists = poi_distances(state) if events is None else events.poi_dists
+        masked = np.where(state.poi_rem > 0.0, dists, np.inf)
         p = np.argmin(masked, axis=1)
         goal[:m] = state.poi_xy[p]
         near[:m] = masked[np.arange(m), p]
@@ -45,18 +47,16 @@ def greedy_policy(state: WorldState) -> np.ndarray:
 
 class GreedyPolicy:
     name = "greedy"
-    reads_obs = False   # acts on the state; the rollout skips observing
 
     def reset(self, episode_seed: int) -> None:
         pass
 
-    def actions(self, state: WorldState, obs, nbrs) -> np.ndarray:
-        return greedy_policy(state)
+    def actions(self, state: WorldState, events) -> np.ndarray:
+        return greedy_policy(state, events)
 
 
 class RandomPolicy:
     name = "random"
-    reads_obs = False
 
     def __init__(self):
         self._rng = np.random.default_rng(0)
@@ -64,14 +64,12 @@ class RandomPolicy:
     def reset(self, episode_seed: int) -> None:
         self._rng = np.random.default_rng(np.random.SeedSequence((episode_seed, 1)))
 
-    def actions(self, state: WorldState, obs, nbrs) -> np.ndarray:
+    def actions(self, state: WorldState, events) -> np.ndarray:
         return self._rng.uniform(-1.0, 1.0, size=(state.config.num_uavs, 2))
 
 
 class ActorPolicy:
     """Decentralized execution of trained actors on local graphs."""
-
-    reads_obs = True
 
     def __init__(self, actors, config: WorldConfig):
         self.name = "hgam" if actors[0].spec.use_gat else "hgam_no_gat"
@@ -81,7 +79,8 @@ class ActorPolicy:
     def reset(self, episode_seed: int) -> None:
         pass
 
-    def actions(self, state: WorldState, obs, nbrs) -> np.ndarray:
+    def actions(self, state: WorldState, events) -> np.ndarray:
+        obs, nbrs = joint_observation(state, events)
         # the tanh head keeps every action in [-1, 1]
         return actor_actions(self.actors, self.config, obs[None], nbrs[None])[0]
 
@@ -119,7 +118,7 @@ def evaluate(policy, world_config: WorldConfig, episodes: int, seed: int,
     rows = []
     traj_rows: list = []
 
-    def record(state, t, obs, nbrs, actions, rewards, events):
+    def record(state, t, actions, rewards, events):
         m = state.num_muavs
         er = state.er
         for u, kind in enumerate(state.config.kinds):
@@ -136,8 +135,7 @@ def evaluate(policy, world_config: WorldConfig, episodes: int, seed: int,
         state = generate_scenario(world_config, seed + i)
         policy.reset(seed + i)
         traj_rows.clear()
-        row = run_episode(state, policy.actions, record if export_traj else None,
-                          reads_obs=policy.reads_obs)
+        row = run_episode(state, policy.actions, record if export_traj else None)
         row["seed"] = seed + i
         rows.append(row)
         if export_traj:

@@ -39,31 +39,26 @@ def joint_observation(state: WorldState, events: StepEvents | None = None
     return obs, local_neighbors(state, uav_dists)
 
 
-def run_episode(state: WorldState, act, on_step=None, reads_obs: bool = True) -> dict:
+def run_episode(state: WorldState, act, on_step=None) -> dict:
     """Step `state` until it is done; returns the metrics row: `compute_all`
     of the episode, `reward_muav_mean`, `reward_cuav_mean` (mean summed
     reward per agent type) and `reward_components`.
 
-    `act(state, obs, nbrs)` gives the (U, 2) joint action for the joint
-    observation of `state`; with `reads_obs` false, `act` ignores it and
-    gets None for both. After each step, `on_step(state, t, obs, nbrs,
-    actions, rewards, events)` sees the advanced state, the index `t` of the
-    step taken, its inputs and the per-agent rewards (U,). It may return the
-    advanced state's joint observation for the next action to reuse;
-    otherwise the loop observes it, and never once the episode is done.
+    `act(state, events)` gives the (U, 2) joint action for `state`, where
+    `events` are those of the step that produced it (None for the first
+    state). After each step, `on_step(state, t, actions, rewards, events)`
+    sees the advanced state, the index `t` of the step taken, its actions
+    and the per-agent rewards (U,).
     """
     tracker = EpisodeTracker(state)
-    joint = events = None
+    events = None
     while not state.done:
-        if joint is None:
-            joint = joint_observation(state, events) if reads_obs else (None, None)
-        obs, nbrs = joint
-        actions = act(state, obs, nbrs)
+        actions = act(state, events)
         t = state.t
         _, events = step(state, actions)
         rewards = tracker.after_step(state, events)[:, -1]
-        joint = None if on_step is None else on_step(
-            state, t, obs, nbrs, actions, rewards, events)
+        if on_step is not None:
+            on_step(state, t, actions, rewards, events)
     row = dict(compute_all(tracker.episode_log(state)))
     m = state.num_muavs
     reward_sums = tracker.component_totals[:, -1]

@@ -442,25 +442,25 @@ class Trainer:
 
     def run_episode(self, episode: int) -> dict:
         losses = []
+        state = generate_scenario(self.wc, self.scenario_seed(episode))
+        joint = joint_observation(state)
 
-        def learn(state, t, obs, nbrs, actions, rewards, events):
+        def learn(state, t, actions, rewards, events):
             # the store holds the successor, terminal or not, until the next
             # step's transition stores it as its obs; the next action reuses it
-            next_obs, next_nbrs = joint_observation(state, events)
+            nonlocal joint
+            (obs, nbrs), joint = joint, joint_observation(state, events)
             slot = self.store.add(
-                obs=obs, actions=actions, rewards=rewards, next_obs=next_obs,
+                obs=obs, actions=actions, rewards=rewards, next_obs=joint[0],
                 done=state.done, episode=episode, step=t, nbrs=nbrs,
-                next_nbrs=next_nbrs)
+                next_nbrs=joint[1])
             for tree in self.trees:
                 tree.set(slot, self.insert_priority(tree))
             loss = self.update(episode, t)
             if loss is not None:
                 losses.append(loss)
-            return next_obs, next_nbrs
 
-        state = generate_scenario(self.wc, self.scenario_seed(episode))
-        report = run_episode(
-            state, lambda _, obs, nbrs: self.policy_actions(obs, nbrs), learn)
+        report = run_episode(state, lambda *_: self.policy_actions(*joint), learn)
         row = {"episode": episode, "steps": state.t}
         for key in ("reward_muav_mean", "reward_cuav_mean", "C", "omega",
                     "upsilon", "D", "F"):
@@ -493,10 +493,15 @@ class Trainer:
         final_ckpt = out / "checkpoint.hgam"
         self.save(final_ckpt)  # fail fast on an unwritable destination
         rows = []
-        for episode in range(1, self.tc.max_episodes + 1):
-            rows.append(self.run_episode(episode))
-            if episode % CHECKPOINT_INTERVAL == 0:
-                self.save(out / f"checkpoint_ep{episode:06d}.hgam")
+        try:
+            for episode in range(1, self.tc.max_episodes + 1):
+                rows.append(self.run_episode(episode))
+                if episode % CHECKPOINT_INTERVAL == 0:
+                    self.save(out / f"checkpoint_ep{episode:06d}.hgam")
+        except BaseException:
+            # the fail-fast save holds untrained networks: leave no final file
+            final_ckpt.unlink(missing_ok=True)
+            raise
         self.save(final_ckpt)
         write_training_csv(out / "training_report.csv", rows)
         return rows

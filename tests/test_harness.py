@@ -13,7 +13,7 @@ from hgam.harness import (ActorPolicy, GreedyPolicy, RandomPolicy, evaluate,
                           greedy_policy, make_policy)
 from hgam.hetgraph import local_feature_batch
 from hgam.neural import forward, load_checkpoint, save_checkpoint
-from hgam.rollout import joint_observation
+from hgam.rollout import joint_observation, run_episode
 from hgam.training import TrainConfig, Trainer, train
 from hgam.world import WorldConfig, generate_scenario, load_config
 
@@ -104,7 +104,11 @@ def test_greedy_policy_is_the_per_agent_rule(muavs, cuavs, pois):
             greedy = assert_greedy_is_reference(state)
             checked += 1
             dry += not np.any(state.poi_rem > 0.0)
-            step(state, greedy if rng.random() < 0.5 else rng.uniform(-1, 1, (n, 2)))
+            _, events = step(state, greedy if rng.random() < 0.5
+                             else rng.uniform(-1, 1, (n, 2)))
+            # the step's PoI distances stand in for sensing the state again
+            assert (greedy_policy(state, events).tobytes()
+                    == greedy_policy(state).tobytes())
     assert checked > 30 and (pois > 2 or dry > 0)
 
 
@@ -132,7 +136,7 @@ def random_actions(num_uavs, seed, calls=1):
                                           num_pois=0, num_obstacles=0), 0)
     policy = RandomPolicy()
     policy.reset(seed)
-    return np.concatenate([policy.actions(state, None, None) for _ in range(calls)])
+    return np.concatenate([policy.actions(state, None) for _ in range(calls)])
 
 
 def test_random_policy_range_and_determinism():
@@ -249,7 +253,7 @@ def test_noise_free_trainer_actions_match_actor_policy(use_gat):
         state = generate_scenario(wc, scenario)
         while not state.done and state.t < 5:
             obs, nbrs = joint_observation(state)
-            actions = policy.actions(state, obs, nbrs)
+            actions = policy.actions(state, None)
             assert np.array_equal(trainer.policy_actions(obs, nbrs), actions)
             compared += 1
             step(state, actions)
@@ -276,13 +280,15 @@ def test_evaluation_observes_only_states_it_acts_on(monkeypatch, tmp_path,
 @pytest.mark.parametrize("policy_kind", ["hgam", "greedy"])
 def test_evaluation_senses_each_state_once(monkeypatch, policy_kind):
     # step senses every successor; the episode's first state is sensed by
-    # its joint observation, which only observing policies build
+    # the policy: hgam's joint observation senses it all, greedy measures
+    # only its PoI distances
     wc = WorldConfig()
     if policy_kind == "hgam":
         policy = ActorPolicy(Trainer(wc, TrainConfig(buffer_capacity=64), seed=0).actors, wc)
     else:
         policy = GreedyPolicy()
-    calls = {"cast_lasers": 0, "uav_distances": 0, "observe": 0}
+    calls = {"cast_lasers": 0, "uav_distances": 0, "poi_distances": 0,
+             "observe": 0}
 
     def counted(module, name):
         real = getattr(module, name)
@@ -295,15 +301,43 @@ def test_evaluation_senses_each_state_once(monkeypatch, policy_kind):
     for module in (env, rollout):
         counted(module, "cast_lasers")
         counted(module, "uav_distances")
+    for module in (env, harness, rollout):
+        counted(module, "poi_distances")
     counted(rollout, "observe")
     episodes = 3
     report = evaluate(policy, wc, episodes, seed=0)
     steps = sum(row["episode_len"] for row in report["per_episode"])
     assert steps > episodes
-    first_states = episodes if policy.reads_obs else 0
+    observes = policy_kind == "hgam"
+    first_states = episodes if observes else 0
     assert calls["cast_lasers"] == steps + first_states
     assert calls["uav_distances"] == steps + first_states
-    assert calls["observe"] == (steps * wc.num_uavs if policy.reads_obs else 0)
+    assert calls["poi_distances"] == steps + episodes
+    assert calls["observe"] == (steps * wc.num_uavs if observes else 0)
+
+
+def test_run_episode_hands_each_step_record_to_the_next_action():
+    wc = WorldConfig(num_pois=20, max_steps=12)
+    state = generate_scenario(wc, 0)
+    rng = np.random.default_rng(5)
+    seen, handed, ts = [], [], []
+
+    def act(s, events):
+        assert s is state
+        seen.append(events)
+        return rng.uniform(-0.3, 0.3, (wc.num_uavs, 2))
+
+    def on_step(s, t, actions, rewards, events):
+        ts.append(t)
+        handed.append(events)
+        return "ignored"
+
+    row = run_episode(state, act, on_step)
+    steps = state.t
+    assert steps == row["episode_len"] and steps > 1
+    assert len(seen) == steps and ts == list(range(steps))
+    assert seen[0] is None
+    assert all(a is b for a, b in zip(seen[1:], handed[:-1]))
 
 
 # --- CLI ---------------------------------------------------------------------

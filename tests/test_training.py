@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hgam import rollout
+from hgam import rollout, training
+from hgam.cli import main
 from hgam.errors import ConfigError, ContractError
 from hgam.hetgraph import global_feature_width
 from hgam.neural import LINEAR, NetSpec, Network, forward, load_checkpoint
@@ -684,6 +685,28 @@ def test_train_writes_report_and_checkpoints(tmp_path):
                          "C,omega,upsilon,D,F,sigma,loss_critic_mean")
     assert len(report) == 4
     assert (tmp_path / "checkpoint.hgam").exists()
+
+
+@pytest.mark.parametrize("error", [ContractError("non-finite loss"),
+                                   KeyboardInterrupt()],
+                         ids=["contract", "interrupt"])
+def test_failed_training_leaves_no_final_checkpoint(monkeypatch, tmp_path, error):
+    # the fail-fast save before episode 1 holds untrained networks, which
+    # must not be left behind as the run's checkpoint
+    wc, tc = quick_configs(max_episodes=3)
+    monkeypatch.setattr(training, "CHECKPOINT_INTERVAL", 1)
+    real = Trainer.run_episode
+
+    def failing(self, episode):
+        if episode == 2:
+            raise error
+        return real(self, episode)
+    monkeypatch.setattr(Trainer, "run_episode", failing)
+    with pytest.raises(type(error)):
+        train(wc, tc, seed=0, out_dir=tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint_ep000001.hgam"]
+    assert main(["evaluate", "--policy", "hgam", "--checkpoint",
+                 str(tmp_path / "checkpoint.hgam")]) == 3
 
 
 @pytest.mark.parametrize("episodes", [0, 2], ids=["fresh", "trained"])
