@@ -108,8 +108,9 @@ class Network:
 
 
 def _slope_mask(x, slope):
-    """Pointwise LeakyReLU derivative; y = x * mask gives the activation and
-    the same mask backpropagates it."""
+    """Pointwise LeakyReLU derivative. `forward` keeps only activations, and
+    an activation is positive exactly where its input is, so `backward`
+    reads each kink's side from the activation it passes here."""
     return slope + (1.0 - slope) * (x > 0)
 
 
@@ -136,8 +137,10 @@ def _nbr_idx(n: int, ego: int) -> np.ndarray:
 
 @dataclass
 class Tape:
-    """Cached intermediates of one batched forward pass (slope arrays hold
-    the LeakyReLU derivatives, which double as the activation masks).
+    """Cached intermediates of one batched forward pass. Each LeakyReLU
+    keeps only its activation (`a1`, `h`, `el`, `a3`), whose sign gives the
+    side of the kink, so a forward that is never backpropagated pays for no
+    derivative.
 
     The encoder entries are per kind run of `_kind_runs(kinds)`, each a 2-D
     array over the run's (B * run length) node rows."""
@@ -147,16 +150,13 @@ class Tape:
     ego: int
     nbr_idx: np.ndarray          # node indices of the neighbors
     x: list                      # per run: encoder input rows
-    s1: list                     # per run: first encoder layer slopes
     a1: list                     # per run: first encoder layer activations
-    s2: list                     # per run: second encoder layer slopes
     h: np.ndarray                # (B, n, E) encoder outputs
     wh: np.ndarray | None        # (B, n, E)
-    se: np.ndarray | None        # (B, n-1) attention logit slopes
+    el: np.ndarray | None        # (B, n-1) activated attention logits
     alpha: np.ndarray | None     # (B, n-1)
     g: np.ndarray                # (B, E)
     x_head: np.ndarray           # (B, 2E)
-    s3: np.ndarray
     a3: np.ndarray
     out: np.ndarray              # (B, out_dim)
 
@@ -174,58 +174,53 @@ def forward(net: Network, feats: np.ndarray, kinds, ego: int,
     e_dim = spec.embed_dim
     kinds = tuple(kinds)
 
-    xs, s1, a1, s2 = [], [], [], []
+    xs, a1 = [], []
     h = np.empty((b, n, e_dim))
     for kind, lo, hi in _kind_runs(kinds):
         x = feats[:, lo:hi, :].reshape(-1, in_w)
         z1 = x @ p[f"enc_{kind}_w1"].T
         z1 += p[f"enc_{kind}_b1"]
-        s1k = _slope_mask(z1, LRELU_HIDDEN)
-        z1 *= s1k                                   # now the activation a1
+        np.maximum(z1, z1 * LRELU_HIDDEN, out=z1)  # now the activation a1
         z2 = z1 @ p[f"enc_{kind}_w2"].T
         z2 += p[f"enc_{kind}_b2"]
-        s2k = _slope_mask(z2, LRELU_HIDDEN)
-        shape = (b, hi - lo, e_dim)
-        np.multiply(z2.reshape(shape), s2k.reshape(shape), out=h[:, lo:hi])
+        z2 = z2.reshape(b, hi - lo, e_dim)
+        np.maximum(z2, z2 * LRELU_HIDDEN, out=h[:, lo:hi])
         xs.append(x)
-        s1.append(s1k)
         a1.append(z1)
-        s2.append(s2k)
 
     nbr_idx = _nbr_idx(n, ego)
-    wh = se = alpha = None
-    g = np.zeros((b, e_dim))
+    wh = el = alpha = None
     if spec.use_gat and len(nbr_idx) > 0:
         wh = (h.reshape(-1, e_dim) @ p["gat_w"].T).reshape(b, n, e_dim)
         a_src = p["gat_a"][:e_dim]
         a_dst = p["gat_a"][e_dim:]
         wh_nbr = wh[:, nbr_idx, :]
-        e_logits = wh_nbr @ a_src
-        e_logits += (wh[:, ego, :] @ a_dst)[:, None]
-        se = _slope_mask(e_logits, LRELU_ATTN)
-        el = e_logits * se
+        el = wh_nbr @ a_src
+        el += (wh[:, ego, :] @ a_dst)[:, None]
+        np.maximum(el, el * LRELU_ATTN, out=el)
         # absent slots get exactly zero weight; with every slot absent the
         # row's weights and aggregate are zero
-        present = True if mask is None else mask
-        top = np.where(present, el, -np.inf).max(axis=1, keepdims=True)
+        masked = el if mask is None else np.where(mask, el, -np.inf)
+        top = masked.max(axis=1, keepdims=True)
         top = np.where(np.isfinite(top), top, 0.0)
-        ex = np.exp(np.where(present, el - top, -np.inf))
+        ex = np.exp(masked - top)
         denom = ex.sum(axis=1, keepdims=True)
         alpha = np.divide(ex, denom, out=np.zeros_like(ex), where=denom > 0)
         g = np.einsum("bk,bke->be", alpha, wh_nbr)
+    else:
+        g = np.zeros((b, e_dim))
 
     x_head = np.concatenate([h[:, ego, :], g], axis=1)
     z3 = x_head @ p["head_w1"].T
     z3 += p["head_b1"]
-    s3 = _slope_mask(z3, LRELU_HIDDEN)
-    z3 *= s3                                        # now the activation a3
+    np.maximum(z3, z3 * LRELU_HIDDEN, out=z3)      # now the activation a3
     out = z3 @ p["head_w2"].T
     out += p["head_b2"]
     if spec.out_activation == TANH:
         np.tanh(out, out=out)
 
-    return Tape(feats, kinds, ego, nbr_idx, xs, s1, a1, s2, h,
-                wh, se, alpha, g, x_head, s3, z3, out)
+    return Tape(feats, kinds, ego, nbr_idx, xs, a1, h,
+                wh, el, alpha, g, x_head, z3, out)
 
 
 def backward(net: Network, tape: Tape, dout: np.ndarray,
@@ -248,7 +243,7 @@ def backward(net: Network, tape: Tape, dout: np.ndarray,
     grads["head_w2"] += dz4.T @ tape.a3
     grads["head_b2"] += dz4.sum(axis=0)
     da3 = dz4 @ p["head_w2"]
-    dz3 = da3 * tape.s3
+    dz3 = da3 * _slope_mask(tape.a3, LRELU_HIDDEN)
     grads["head_w1"] += dz3.T @ tape.x_head
     grads["head_b1"] += dz3.sum(axis=0)
     dx_head = dz3 @ p["head_w1"]
@@ -264,7 +259,7 @@ def backward(net: Network, tape: Tape, dout: np.ndarray,
         # softmax: masked entries have alpha == 0, so they drop out here
         inner = (tape.alpha * dalpha).sum(axis=1, keepdims=True)
         d_el = tape.alpha * (dalpha - inner)
-        de = d_el * tape.se
+        de = d_el * _slope_mask(tape.el, LRELU_ATTN)
 
         grads["gat_a"][:e_dim] += np.einsum("bk,bke->e", de, wh_nbr)
         grads["gat_a"][e_dim:] += (de.sum(axis=1)[:, None] * tape.wh[:, tape.ego, :]).sum(axis=0)
@@ -281,15 +276,15 @@ def backward(net: Network, tape: Tape, dout: np.ndarray,
         dh = np.zeros((b, n, e_dim))
         dh[:, tape.ego, :] = dx_head[:, :e_dim]
 
+    dh *= _slope_mask(tape.h, LRELU_HIDDEN)
     # no zeroing needed: the kind runs cover every node
     dfeats = np.empty_like(tape.feats) if input_grads else None
     for r, (kind, lo, hi) in enumerate(_kind_runs(tape.kinds)):
-        shape = (b, hi - lo, e_dim)
-        dz2 = (dh[:, lo:hi, :] * tape.s2[r].reshape(shape)).reshape(-1, e_dim)
+        dz2 = dh[:, lo:hi, :].reshape(-1, e_dim)
         grads[f"enc_{kind}_w2"] += dz2.T @ tape.a1[r]
         grads[f"enc_{kind}_b2"] += dz2.sum(axis=0)
         dz1 = dz2 @ p[f"enc_{kind}_w2"]
-        dz1 *= tape.s1[r]
+        dz1 *= _slope_mask(tape.a1[r], LRELU_HIDDEN)
         grads[f"enc_{kind}_w1"] += dz1.T @ tape.x[r]
         grads[f"enc_{kind}_b1"] += dz1.sum(axis=0)
         if input_grads:

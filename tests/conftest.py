@@ -38,10 +38,10 @@ def forward_graph(net, graph):
 
 def branch_signature(tape):
     """Which side of every LeakyReLU kink (encoder, attention logit, head)
-    a forward tape took."""
-    return (np.concatenate(tape.s1) > 0.5, np.concatenate(tape.s2) > 0.5,
-            tape.s3 > 0.5,
-            None if tape.se is None else tape.se > 0.5)
+    a forward tape took: an activation is positive exactly where its input
+    is."""
+    return (np.concatenate(tape.a1) > 0, tape.h > 0, tape.a3 > 0,
+            None if tape.el is None else tape.el > 0)
 
 
 def _same_branches(a, b):

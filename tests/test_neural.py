@@ -1,17 +1,21 @@
 import math
+import sys
 import tracemalloc
 import zlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import branch_signature, forward_graph, kink_free_fd
 from hgam.errors import CheckpointError
 from hgam.hetgraph import HeteroGraph
-from hgam.neural import (LINEAR, TANH, NetSpec, Network, adam_step, backward,
-                         forward, load_checkpoint, network_from_tensors,
-                         network_tensors, save_checkpoint)
+from hgam.neural import (LINEAR, LRELU_ATTN, LRELU_HIDDEN, TANH, NetSpec,
+                         Network, _slope_mask, adam_step, backward, forward,
+                         load_checkpoint, network_from_tensors, network_tensors,
+                         save_checkpoint)
 from hgam.world import CUAV, MUAV
 
 SMALL_ACTOR = NetSpec({MUAV: 9, CUAV: 9}, 2, TANH, embed_dim=8, head_hidden=12)
@@ -103,6 +107,24 @@ def test_attention_positive_and_normalized_random():
         assert abs(tape.alpha.sum() - 1.0) < 1e-9
 
 
+@pytest.mark.parametrize("spec,b", [(SMALL_ACTOR, 1), (SMALL_ACTOR, 128),
+                                     (SMALL_CRITIC, 1), (SMALL_CRITIC, 128)],
+                         ids=["actor-1", "actor-128", "critic-1", "critic-128"])
+def test_mask_none_is_every_slot_present(spec, b):
+    kinds = (MUAV, MUAV, CUAV)
+    rng = np.random.default_rng(b)
+    net = Network(spec, rng)
+    feats = rng.normal(0, 1, (b, len(kinds), spec.in_widths[MUAV]))
+    w = rng.normal(0, 1, (b, spec.out_dim))
+    passes = []
+    for mask in (None, np.ones((b, len(kinds) - 1), dtype=bool)):
+        tape = forward(net, feats, kinds, 0, mask)
+        grad, dfeats = backward(net, tape, w)
+        passes.append((tape.out, tape.alpha, tape.g, grad.copy(), dfeats))
+    for free, masked in zip(*passes):
+        assert free.tobytes() == masked.tobytes()
+
+
 # --- aggregation ----------------------------------------------------------------
 
 def test_gat_aggregate_identity_passthrough():
@@ -189,6 +211,29 @@ def test_no_gat_flag_zeroes_aggregate():
     assert np.all(tape.g == 0.0)
     backward(net, tape, np.ones((1, 1)))
     assert not net.grads["gat_w"].any()
+
+
+# --- activations ------------------------------------------------------------------
+
+EXTREME_FLOATS = [0.0, -0.0, 5e-324, -5e-324, sys.float_info.max,
+                  -sys.float_info.max, math.inf, -math.inf, math.nan]
+
+
+@pytest.mark.parametrize("slope", [LRELU_HIDDEN, LRELU_ATTN])
+@settings(max_examples=200, deadline=None)
+@given(z=st.lists(st.floats() | st.sampled_from(EXTREME_FLOATS), min_size=1,
+                  max_size=32))
+@example(z=EXTREME_FLOATS)
+def test_activation_is_the_slope_mask_product(slope, z):
+    """forward's LeakyReLU max(z, slope z) is z times the derivative mask,
+    and the mask read back from the activation is the input's."""
+    z = np.array(z)
+    act = np.maximum(z, z * slope)
+    want = z * _slope_mask(z, slope)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(act), nan)
+    assert act[~nan].tobytes() == want[~nan].tobytes()
+    assert _slope_mask(act, slope).tobytes() == _slope_mask(z, slope).tobytes()
 
 
 # --- backward ---------------------------------------------------------------------
